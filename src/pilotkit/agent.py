@@ -1,8 +1,16 @@
-"""Local-fabric agent: pull tasks in bulk, stage data, schedule, execute.
+"""The pilot agent: one task lifecycle, two ways to launch.
 
-The agent runs in its own thread; executable tasks become child processes,
-function tasks run callables from FUNCTION_REGISTRY on executor threads.
-All coupling with the client side goes through bus channels.
+``AgentCore`` owns what every fabric shares: the task table, the node list
+and the scheduler; pulling, validating and failing tasks at pull; the
+bookkeeping when a task is placed; finishing and canceling with the slot
+release; and the trace events of each step. Every state change goes through
+:func:`pilotkit.core.advance_task_state`.
+
+``LocalAgent`` launches on this machine: it runs in its own thread,
+executable tasks become child processes and function tasks run callables
+from FUNCTION_REGISTRY on exec threads, and completions come back over a
+bus channel. The simulated fabric's ``SimAgent`` (:mod:`pilotkit.simulator`)
+launches through latency-modeled DVMs on a virtual clock.
 """
 
 from __future__ import annotations
@@ -11,17 +19,19 @@ import os
 import shutil
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import bus
 from .core import (
     Fabric,
+    NodeList,
     PilotDescription,
     Task,
     TaskDescription,
     TaskKind,
     TaskState,
     ValidationError,
+    advance_task_state,
     build_node_list,
     validate_task_description,
 )
@@ -36,21 +46,121 @@ from .scheduler import Scheduler, SlotMap
 from .tracer import Tracer
 
 CANCEL_GRACE_S = 5.0
+BULK_SIZE = 1024  # most messages taken from a channel per receive
+
+_END_EVENTS = {
+    TaskState.DONE: "task_done",
+    TaskState.FAILED: "task_failed",
+    TaskState.CANCELED: "task_canceled",
+}
 
 
-@dataclass
-class AgentConfig:
-    pilot: PilotDescription
-    bulk_size: int = 1024
-    executor_count: int = 1
-    staging_root: str = ""
-    dvm_policy: str = "round_robin"
+class AgentCore:
+    """Task lifecycle of one pilot, shared by the local and simulated agents.
 
-    def __post_init__(self):
-        if self.bulk_size < 1:
-            raise ValidationError("bulk_size must be >= 1")
-        if self.executor_count < 1:
-            raise ValidationError("executor_count must be >= 1")
+    A backend supplies the clock (``_now``), trace emission (``_emit``),
+    data staging (``_stage``) and the launch of a placed task (``_launch``);
+    it reports a launched task's return through ``_returned``.
+    """
+
+    def __init__(self, pd: PilotDescription, tracer: Tracer, node_list: NodeList):
+        self.pd = pd
+        self.tracer = tracer
+        self.node_list = node_list
+        self.scheduler = Scheduler(SlotMap(self.node_list))
+        self.tasks: dict[str, Task] = {}
+        self._dirty = False  # slots freed or tasks queued since the last rescan
+
+    # backend hooks -------------------------------------------------------
+
+    def _now(self) -> float:
+        return self.tracer.now()
+
+    def _emit(self, component: str, name: str, uid: str | None = None,
+              detail: str | None = None):
+        self.tracer.emit(component, name, task_uid=uid, detail=detail)
+
+    def _validate(self, td: TaskDescription):
+        validate_task_description(td, self.pd)
+
+    def _stage(self, td: TaskDescription, direction: str):
+        """Move a task's "in" or "out" data; raises OSError on failure.
+        The simulated fabric moves no data."""
+
+    def _launch(self, task: Task):
+        raise NotImplementedError
+
+    def _notify(self, task: Task):
+        """Tell the client that a task ended."""
+
+    # lifecycle -----------------------------------------------------------
+
+    def _advance(self, task: Task, state: TaskState):
+        advance_task_state(task, state, self._now())
+
+    def _pull(self, td: TaskDescription):
+        """Take a submitted task: validate, stage in, queue for placement."""
+        task = Task(description=td, state=TaskState.SUBMITTED)  # by the client
+        self.tasks[td.uid] = task
+        self._advance(task, TaskState.AGENT_PULLED)
+        self._emit("agent", "db_bridge_pull", td.uid)
+        try:
+            self._validate(td)
+        except ValidationError as exc:
+            self._reject(task, str(exc))
+            return
+        if td.stage_in:
+            self._advance(task, TaskState.STAGING_IN)
+            try:
+                self._stage(td, "in")
+            except OSError as exc:
+                self._reject(task, f"SourceMissing: {exc}")
+                return
+        self.scheduler.submit(td)
+        self._dirty = True
+
+    def _reject(self, task: Task, reason: str):
+        """Fail a task that never got a placement."""
+        self._end(task, TaskState.FAILED, reason)
+
+    def _rescan(self):
+        self._dirty = False
+        for td, placement in self.scheduler.rescan():
+            task = self.tasks[td.uid]
+            task.placement = placement
+            self._advance(task, TaskState.SCHEDULED)
+            self._launch(task)
+
+    def _schedule_ok(self, task: Task, launcher: str = ""):
+        td = task.description
+        self._emit("scheduler", "schedule_ok", td.uid,
+                   f"{task.placement.serialize()}{launcher}|mpi={int(td.uses_mpi)}")
+
+    def _release(self, task: Task):
+        self.scheduler.complete(task.placement)
+        self._dirty = True
+
+    def _returned(self, task: Task, ok: bool, exit_code: int | None,
+                  error: str | None = None, detail: str | None = None):
+        """A launched task came back: free its slots, stage out, end it."""
+        self._release(task)
+        td = task.description
+        state = TaskState.DONE if ok else TaskState.FAILED
+        if ok and td.stage_out:
+            self._advance(task, TaskState.STAGING_OUT)
+            try:
+                self._stage(td, "out")
+            except OSError as exc:
+                state, error = TaskState.FAILED, f"stage_out: {exc}"
+        self._emit("executor", "spawn_return", task.uid, detail)
+        task.exit_code = exit_code
+        self._end(task, state, error)
+
+    def _end(self, task: Task, state: TaskState, error: str | None = None):
+        task.error = error
+        self._advance(task, state)
+        self._emit("agent", _END_EVENTS[state], task.uid, error)
+        self._notify(task)
 
 
 class FnContext:
@@ -99,27 +209,22 @@ def register_function(name: str, fn):
 @dataclass
 class _Running:
     task: Task
-    thread: threading.Thread
+    thread: threading.Thread | None = None
     proc: object | None = None
 
 
-class LocalAgent:
+class LocalAgent(AgentCore):
     """One pilot's agent on the local machine."""
 
-    def __init__(self, cfg: AgentConfig, hub: bus.MessageHub, tracer: Tracer,
+    def __init__(self, pd: PilotDescription, hub: bus.MessageHub, tracer: Tracer,
                  sandbox_root: str):
-        assert cfg.pilot.fabric == Fabric.LOCAL
-        self.cfg = cfg
-        self.pd = cfg.pilot
+        assert pd.fabric == Fabric.LOCAL
+        super().__init__(pd, tracer, build_node_list(pd))
         self.hub = hub
-        self.tracer = tracer
         self.sandbox_root = sandbox_root
-        self.node_list = build_node_list(self.pd)
-        self.scheduler = Scheduler(SlotMap(self.node_list))
-        self.in_q = hub.open(f"agent.{self.pd.uid}.tasks", bus.QUEUE)
+        self.in_q = hub.open(f"agent.{pd.uid}.tasks", bus.QUEUE)
         self.notify = hub.open("task_state", bus.TOPIC)
-        self.completions = bus.Channel(f"agent.{self.pd.uid}.completions", bus.QUEUE)
-        self.tasks: dict[str, Task] = {}
+        self.completions = bus.Channel(f"agent.{pd.uid}.completions", bus.QUEUE)
         self.running: dict[str, _Running] = {}
         self._cancel = threading.Event()
         self._stop_requested = threading.Event()
@@ -142,10 +247,6 @@ class LocalAgent:
         if self._thread is not None:
             self._thread.join(timeout_s)
 
-    def _emit(self, component: str, name: str, uid: str | None = None,
-              detail: str | None = None):
-        self.tracer.emit(component, name, task_uid=uid, detail=detail)
-
     def _notify(self, task: Task):
         self.notify.send([bus.pack_message({
             "task_uid": task.uid,
@@ -161,21 +262,21 @@ class LocalAgent:
         self._emit("agent", "pilot_start", detail=self.pd.uid)
         self._emit("agent", "agent_ready", detail=self.pd.uid)
         self.ready.set()
-        dirty = False
         while True:
             progressed = False
-            for raw in self.in_q.receive(self.cfg.bulk_size, timeout_s=0.01):
-                self._on_task_message(raw)
-                dirty = True
+            for raw in self.in_q.receive(BULK_SIZE, timeout_s=0.01):
+                self._pull(TaskDescription.from_dict(bus.unpack_message(raw)))
                 progressed = True
-            for raw in self.completions.receive(self.cfg.bulk_size, timeout_s=0.0):
-                self._on_completion(bus.unpack_message(raw))
-                dirty = True
+            for raw in self.completions.receive(BULK_SIZE, timeout_s=0.0):
+                msg = bus.unpack_message(raw)
+                uid = msg["task_uid"]
+                with self._lock:
+                    del self.running[uid]
+                self._returned(self.tasks[uid], msg["state"] == "DONE",
+                               msg["exit_code"], msg["error"])
                 progressed = True
-            if dirty:
-                dirty = False
-                for td, placement in self.scheduler.rescan():
-                    self._launch(td, placement)
+            if self._dirty:
+                self._rescan()
             if self._cancel.is_set():
                 self._do_cancel()
                 break
@@ -185,9 +286,6 @@ class LocalAgent:
                 break
             if not progressed:
                 time.sleep(0.001)
-        self._finalize()
-
-    def _finalize(self):
         self._emit("agent", "agent_stop", detail=self.pd.uid)
         self.tracer.flush()
 
@@ -210,90 +308,49 @@ class LocalAgent:
                 except OSError:
                     pass
                 r.thread.join(5.0)
-        # Drain completion records, then mark everything non-terminal CANCELED.
-        for raw in self.completions.receive(self.cfg.bulk_size, timeout_s=0.0):
-            bus.unpack_message(raw)
-        for td in self.scheduler.waiting:
-            task = self.tasks[td.uid]
-            task.state = TaskState.CANCELED
-            self._emit("agent", "task_canceled", uid=td.uid)
-            self._notify(task)
-        self.scheduler.waiting = []
+        # Completions not yet taken are dropped: everything non-terminal,
+        # waiting or running, ends CANCELED.
         with self._lock:
-            runners = list(self.running.items())
-        for uid, r in runners:
-            task = r.task
-            if task.placement is not None:
-                try:
-                    self.scheduler.complete(task.placement)
-                except Exception:
-                    pass
-            task.state = TaskState.CANCELED
-            self._emit("agent", "task_canceled", uid=uid)
-            self._notify(task)
-        self.running.clear()
+            for td in self.scheduler.waiting:
+                self._end(self.tasks[td.uid], TaskState.CANCELED)
+            self.scheduler.waiting = []
+            for r in self.running.values():
+                self._release(r.task)
+                self._end(r.task, TaskState.CANCELED)
+            self.running.clear()
 
     # task intake ---------------------------------------------------------
 
-    def _on_task_message(self, raw: bytes):
-        td = TaskDescription.from_dict(bus.unpack_message(raw))
-        task = Task(description=td, state=TaskState.AGENT_PULLED)
-        task.timestamps["AGENT_PULLED"] = self.tracer.now()
-        self.tasks[td.uid] = task
-        self._emit("agent", "db_bridge_pull", uid=td.uid)
-        try:
-            validate_task_description(td, self.pd)
-        except ValidationError as exc:
-            self._task_failed(task, str(exc))
-            return
-        if td.stage_in:
-            self._emit("agent", "stage_in_start", uid=td.uid)
-            try:
-                self._stage(td, "in")
-            except OSError as exc:
-                self._task_failed(task, f"SourceMissing: {exc}")
-                return
-            self._emit("agent", "stage_in_stop", uid=td.uid)
-        self.scheduler.submit(td)
-
-    def _task_failed(self, task: Task, reason: str):
-        task.state = TaskState.FAILED
-        task.error = reason
-        self._emit("agent", "task_failed", uid=task.uid, detail=reason)
-        self._notify(task)
+    def _validate(self, td: TaskDescription):
+        super()._validate(td)
+        if td.kind == TaskKind.FUNCTION and td.function not in FUNCTION_REGISTRY:
+            raise ValidationError(f"task {td.uid!r}: unknown function {td.function!r}")
 
     def sandbox(self, uid: str) -> str:
         return os.path.join(self.sandbox_root, self.pd.uid, uid)
 
     def _stage(self, td: TaskDescription, direction: str):
+        self._emit("agent", f"stage_{direction}_start", td.uid)
         box = self.sandbox(td.uid)
-        pairs = td.stage_in if direction == "in" else td.stage_out
-        for src, dst in pairs:
+        for src, dst in (td.stage_in if direction == "in" else td.stage_out):
             if direction == "in":
-                target = os.path.join(box, dst)
-                os.makedirs(os.path.dirname(target), exist_ok=True)
-                shutil.copyfile(src, target)
+                source, target = src, os.path.join(box, dst)
             else:
-                source = os.path.join(box, src)
-                os.makedirs(os.path.dirname(os.path.abspath(dst)), exist_ok=True)
-                shutil.copyfile(source, dst)
+                source, target = os.path.join(box, src), os.path.abspath(dst)
+            os.makedirs(os.path.dirname(target), exist_ok=True)
+            shutil.copyfile(source, target)
+        self._emit("agent", f"stage_{direction}_stop", td.uid)
 
     # execution -----------------------------------------------------------
 
-    def _launch(self, td: TaskDescription, placement):
-        task = self.tasks[td.uid]
-        task.placement = placement
-        task.state = TaskState.SCHEDULED
-        task.timestamps["SCHEDULED"] = self.tracer.now()
-        self._emit("scheduler", "schedule_ok", uid=td.uid,
-                   detail=f"{placement.serialize()}|mpi={int(td.uses_mpi)}")
-        runner = _Running(task=task, thread=None)
-        thread = threading.Thread(target=self._execute, args=(task, runner),
-                                  name=f"exec-{td.uid}", daemon=True)
-        runner.thread = thread
+    def _launch(self, task: Task):
+        self._schedule_ok(task)
+        runner = _Running(task=task)
+        runner.thread = threading.Thread(target=self._execute, args=(task, runner),
+                                         name=f"exec-{task.uid}", daemon=True)
         with self._lock:
-            self.running[td.uid] = runner
-        thread.start()
+            self.running[task.uid] = runner
+        runner.thread.start()
 
     def _execute(self, task: Task, runner: _Running):
         td = task.description
@@ -310,12 +367,19 @@ class LocalAgent:
         state = "DONE" if rec.exit_code == 0 else "FAILED"
         self.completions.send([bus.pack_message(completion_message(rec, state))])
 
+    def _exec_start(self, task: Task):
+        """SCHEDULED -> EXECUTING, unless a cancel ended the task first."""
+        with self._lock:
+            if task.state == TaskState.CANCELED:
+                raise SpawnFailure(f"task {task.uid!r}: canceled before start")
+            self._advance(task, TaskState.EXECUTING)
+        self._emit("executor", "exec_start", uid=task.uid)
+
     def _run_executable(self, task: Task, runner: _Running) -> CompletionRecord:
         td = task.description
         box = self.sandbox(td.uid)
         cmd = build_launch_command(td, task.placement)
-        self._emit("executor", "exec_start", uid=td.uid)
-        task.state = TaskState.EXECUTING
+        self._exec_start(task)
 
         def register(proc):
             runner.proc = proc
@@ -337,50 +401,13 @@ class LocalAgent:
 
     def _run_function(self, task: Task) -> CompletionRecord:
         td = task.description
-        fn = FUNCTION_REGISTRY.get(td.function)
-        if fn is None:
-            return CompletionRecord(task_uid=td.uid, exit_code=-1,
-                                    start_ts=self.tracer.now(), stop_ts=self.tracer.now(),
-                                    error=f"unknown function {td.function!r}")
         ctx = FnContext(td, self.hub, self.tracer, self._cancel, self.sandbox(td.uid))
-        self._emit("executor", "exec_start", uid=td.uid)
-        task.state = TaskState.EXECUTING
+        self._exec_start(task)
         start = self.tracer.now()
         try:
-            code = fn(ctx)
+            code, error = int(FUNCTION_REGISTRY[td.function](ctx) or 0), None
         except Exception as exc:  # function errors become task failures
-            self._emit("executor", "exec_stop", uid=td.uid)
-            return CompletionRecord(task_uid=td.uid, exit_code=-1, start_ts=start,
-                                    stop_ts=self.tracer.now(), error=repr(exc))
+            code, error = -1, repr(exc)
         self._emit("executor", "exec_stop", uid=td.uid)
-        return CompletionRecord(task_uid=td.uid, exit_code=int(code or 0),
-                                start_ts=start, stop_ts=self.tracer.now())
-
-    # completion ----------------------------------------------------------
-
-    def _on_completion(self, msg: dict):
-        uid = msg["task_uid"]
-        task = self.tasks.get(uid)
-        with self._lock:
-            self.running.pop(uid, None)
-        if task is None or task.placement is None:
-            return
-        self.scheduler.complete(task.placement)
-        td = task.description
-        if msg["state"] == "DONE" and td.stage_out:
-            self._emit("agent", "stage_out_start", uid=uid)
-            try:
-                self._stage(td, "out")
-                self._emit("agent", "stage_out_stop", uid=uid)
-            except OSError as exc:
-                msg = dict(msg, state="FAILED", error=f"stage_out: {exc}")
-        self._emit("executor", "spawn_return", uid=uid)
-        task.exit_code = msg.get("exit_code")
-        task.error = msg.get("error")
-        if msg["state"] == "DONE":
-            task.state = TaskState.DONE
-            self._emit("agent", "task_done", uid=uid)
-        else:
-            task.state = TaskState.FAILED
-            self._emit("agent", "task_failed", uid=uid, detail=task.error or "")
-        self._notify(task)
+        return CompletionRecord(task_uid=td.uid, exit_code=code, start_ts=start,
+                                stop_ts=self.tracer.now(), error=error)

@@ -1,17 +1,14 @@
-"""Message mesh: named queue/topic channels over in-process or tcp transport.
+"""Message mesh: named in-process queue/topic channels.
 
 Queue channels deliver each message to exactly one consumer; topic channels
 deliver each message to every subscriber. Ordering is per-producer FIFO.
 Structured payloads are encoded with :func:`pack_message` (canonical JSON,
-sorted keys); on the tcp wire every payload is framed as a 4-byte big-endian
-length followed by the payload bytes.
+sorted keys).
 """
 
 from __future__ import annotations
 
 import json
-import socket
-import struct
 import threading
 import time
 from collections import deque
@@ -20,8 +17,6 @@ from .core import PilotkitError
 
 QUEUE = "queue"
 TOPIC = "topic"
-INPROC = "in-process"
-TCP = "tcp"
 
 DEFAULT_CAPACITY = 65536
 
@@ -31,10 +26,6 @@ class ChannelClosed(PilotkitError):
 
 
 class KindMismatch(PilotkitError):
-    pass
-
-
-class AddressInUse(PilotkitError):
     pass
 
 
@@ -88,7 +79,7 @@ class _Endpoint:
 
 
 class Channel:
-    """In-process channel; base class for the tcp variant."""
+    """In-process channel of one kind, queue or topic."""
 
     def __init__(self, name: str, kind: str, capacity: int = DEFAULT_CAPACITY):
         if not name:
@@ -97,7 +88,6 @@ class Channel:
             raise ValueError(f"bad channel kind {kind!r}")
         self.name = name
         self.kind = kind
-        self.transport = INPROC
         self.capacity = capacity
         self.closed = False
         self._lock = threading.Lock()
@@ -144,234 +134,25 @@ class Channel:
                 ep.close()
 
 
-def _send_frame(sock: socket.socket, payload: bytes):
-    sock.sendall(struct.pack(">I", len(payload)) + payload)
-
-
-def _recv_exact(sock: socket.socket, n: int) -> bytes | None:
-    buf = b""
-    while len(buf) < n:
-        chunk = sock.recv(n - len(buf))
-        if not chunk:
-            return None
-        buf += chunk
-    return buf
-
-
-def _recv_frame(sock: socket.socket) -> bytes | None:
-    header = _recv_exact(sock, 4)
-    if header is None:
-        return None
-    (length,) = struct.unpack(">I", header)
-    return _recv_exact(sock, length)
-
-
-class TcpChannel(Channel):
-    """Channel bridged over one listening tcp port.
-
-    The bridge accepts producer and consumer connections; each connection
-    starts with a handshake frame ``{"role": ..., "kind": ...}``. Producers
-    then stream payload frames in; the bridge dispatches to consumers per
-    the channel kind.
-    """
-
-    def __init__(self, name: str, kind: str, address: tuple[str, int],
-                 capacity: int = DEFAULT_CAPACITY):
-        super().__init__(name, kind, capacity)
-        self.transport = TCP
-        self.address = address
-        try:
-            self._server = socket.create_server(address)
-        except OSError as exc:
-            raise AddressInUse(f"cannot bind {address}: {exc}") from exc
-        self.address = self._server.getsockname()
-        self._consumer_socks: list[socket.socket] = []
-        self._rr = 0
-        self._threads: list[threading.Thread] = []
-        t = threading.Thread(target=self._accept_loop, daemon=True)
-        t.start()
-        self._threads.append(t)
-        self._producer_sock: socket.socket | None = None
-        self._local_consumer: _TcpConsumer | None = None
-
-    # bridge side ---------------------------------------------------------
-
-    def _accept_loop(self):
-        while not self.closed:
-            try:
-                conn, _ = self._server.accept()
-            except OSError:
-                return
-            hello_raw = _recv_frame(conn)
-            if hello_raw is None:
-                conn.close()
-                continue
-            hello = unpack_message(hello_raw)
-            if hello.get("kind") != self.kind:
-                _send_frame(conn, pack_message({"error": "KindMismatch"}))
-                conn.close()
-                continue
-            _send_frame(conn, pack_message({"ok": True}))
-            if hello.get("role") == "consumer":
-                with self._lock:
-                    self._consumer_socks.append(conn)
-            else:
-                t = threading.Thread(target=self._producer_loop, args=(conn,), daemon=True)
-                t.start()
-                self._threads.append(t)
-
-    def _producer_loop(self, conn: socket.socket):
-        while not self.closed:
-            payload = _recv_frame(conn)
-            if payload is None:
-                conn.close()
-                return
-            self._dispatch(payload)
-
-    def _dispatch(self, payload: bytes):
-        # Block (bounded retry) until a consumer is connected, matching the
-        # in-process channel's buffering via OS socket backpressure.
-        while not self.closed:
-            with self._lock:
-                socks = list(self._consumer_socks)
-            if socks:
-                break
-            time.sleep(0.001)
-        if self.closed:
-            return
-        if self.kind == QUEUE:
-            with self._lock:
-                sock = self._consumer_socks[self._rr % len(self._consumer_socks)]
-                self._rr += 1
-            try:
-                _send_frame(sock, payload)
-            except OSError:
-                with self._lock:
-                    if sock in self._consumer_socks:
-                        self._consumer_socks.remove(sock)
-                self._dispatch(payload)
-        else:
-            for sock in socks:
-                try:
-                    _send_frame(sock, payload)
-                except OSError:
-                    with self._lock:
-                        if sock in self._consumer_socks:
-                            self._consumer_socks.remove(sock)
-
-    # client side ---------------------------------------------------------
-
-    def _connect(self, role: str) -> socket.socket:
-        sock = socket.create_connection(self.address)
-        _send_frame(sock, pack_message({"role": role, "kind": self.kind, "channel": self.name}))
-        reply = unpack_message(_recv_frame(sock))
-        if "error" in reply:
-            sock.close()
-            raise KindMismatch(reply["error"])
-        return sock
-
-    def send(self, payloads: list[bytes]):
-        if self.closed:
-            raise ChannelClosed(f"channel {self.name!r} closed")
-        if self._producer_sock is None:
-            self._producer_sock = self._connect("producer")
-        for payload in payloads:
-            _send_frame(self._producer_sock, payload)
-
-    def subscribe(self) -> "_TcpConsumer":
-        if self.closed:
-            raise ChannelClosed(f"channel {self.name!r} closed")
-        if self.kind != TOPIC:
-            raise KindMismatch("subscribe() is only valid on topic channels")
-        return _TcpConsumer(self)
-
-    def consumer(self) -> "_TcpConsumer":
-        return _TcpConsumer(self)
-
-    def receive(self, max_msgs: int = 1, timeout_s: float = 0.0) -> list[bytes]:
-        if self.closed:
-            raise ChannelClosed(f"channel {self.name!r} closed")
-        if self.kind != QUEUE:
-            raise KindMismatch("receive() on a topic channel requires subscribe()")
-        if self._local_consumer is None:
-            self._local_consumer = _TcpConsumer(self)
-        return self._local_consumer.receive(max_msgs, timeout_s)
-
-    def close(self):
-        if self.closed:
-            return
-        self.closed = True
-        try:
-            self._server.close()
-        except OSError:
-            pass
-        if self._producer_sock is not None:
-            self._producer_sock.close()
-        with self._lock:
-            for sock in self._consumer_socks:
-                sock.close()
-
-
-class _TcpConsumer:
-    """Consumer connection to a tcp channel bridge, with a local buffer."""
-
-    def __init__(self, channel: TcpChannel):
-        self._ep = _Endpoint(channel.capacity)
-        self._sock = channel._connect("consumer")
-        self._thread = threading.Thread(target=self._read_loop, daemon=True)
-        self._thread.start()
-
-    def _read_loop(self):
-        while True:
-            try:
-                payload = _recv_frame(self._sock)
-            except OSError:
-                payload = None
-            if payload is None:
-                self._ep.close()
-                return
-            try:
-                self._ep.put(payload)
-            except ChannelClosed:
-                return
-
-    def receive(self, max_msgs: int = 1, timeout_s: float = 0.0) -> list[bytes]:
-        return self._ep.receive(max_msgs, timeout_s)
-
-    def close(self):
-        self._sock.close()
-        self._ep.close()
-
-
 class MessageHub:
-    """Registry of named channels; open is idempotent per (name, kind, transport)."""
+    """Registry of named channels; open is idempotent per (name, kind)."""
 
     def __init__(self):
         self._channels: dict[str, Channel] = {}
         self._lock = threading.Lock()
 
-    def open(self, name: str, kind: str = QUEUE, transport: str = INPROC,
-             address: tuple[str, int] | None = None,
+    def open(self, name: str, kind: str = QUEUE,
              capacity: int = DEFAULT_CAPACITY) -> Channel:
         with self._lock:
             existing = self._channels.get(name)
             if existing is not None:
-                if existing.kind != kind or existing.transport != transport:
+                if existing.kind != kind:
                     raise KindMismatch(
-                        f"channel {name!r} already open as ({existing.kind}, "
-                        f"{existing.transport})")
+                        f"channel {name!r} already open as {existing.kind}")
                 return existing
-            if transport == TCP:
-                if address is None:
-                    raise ValueError("tcp transport requires an address")
-                ch: Channel = TcpChannel(name, kind, address, capacity)
-            else:
-                ch = Channel(name, kind, capacity)
+            ch = Channel(name, kind, capacity)
             self._channels[name] = ch
             return ch
-
-    def get(self, name: str) -> Channel | None:
-        return self._channels.get(name)
 
     def close(self):
         with self._lock:

@@ -17,7 +17,7 @@ import threading
 import time
 
 from . import bus
-from .agent import AgentConfig, LocalAgent
+from .agent import LocalAgent
 from .core import (
     Fabric,
     PilotDescription,
@@ -83,7 +83,6 @@ class PilotHandle:
         self.sim_buffer: list[TaskDescription] = []
         self.sim_ran = False
         self.dvm_failures: list[tuple[int, float]] = []
-        self.dvm_policy = "round_robin"
 
     @property
     def trace_dir(self) -> str:
@@ -200,8 +199,7 @@ class Session:
             tracer = Tracer(handle.trace_dir, enabled=self.trace_enabled, clock=self.clock)
             tracer.meta = {"seed": self.seed, "pilot": pd.to_dict()}
             handle.tracer = tracer
-            cfg = AgentConfig(pilot=pd, staging_root=self.directory)
-            agent = LocalAgent(cfg, self.hub, tracer, sandbox_root=self.directory)
+            agent = LocalAgent(pd, self.hub, tracer, sandbox_root=self.directory)
             handle.agent = agent
             agent.start()
             if not agent.ready.wait(10.0):
@@ -241,7 +239,6 @@ class Session:
             tracer.meta = {"seed": self.seed, "pilot": pilot.pd.to_dict()}
             pilot.tracer = tracer
             agent = SimAgent(pilot.pd, tracer, seed=self.seed,
-                             dvm_policy=pilot.dvm_policy,
                              dvm_failures=pilot.dvm_failures)
             tasks = agent.run(pilot.sim_buffer)
             pilot.sim_buffer = []

@@ -69,13 +69,6 @@ LIFECYCLE: tuple[TaskState, ...] = (
 
 TERMINAL_STATES = frozenset({TaskState.DONE, TaskState.FAILED, TaskState.CANCELED})
 
-# States that may be skipped when the task has no matching staging directives.
-_SKIPPABLE = {
-    TaskState.STAGING_IN: "stage_in",
-    TaskState.STAGING_OUT: "stage_out",
-}
-
-
 @dataclass(frozen=True)
 class LatencyModel:
     """Launcher latency model for the simulated fabric.
@@ -352,33 +345,36 @@ class Task:
         return self.description.uid
 
 
-def _legal_successors(task: Task) -> set[TaskState]:
-    state = task.state
+def _successors(state: TaskState, stage_in: bool, stage_out: bool) -> frozenset[TaskState]:
     if state in TERMINAL_STATES:
-        return set()
-    succ: set[TaskState] = {TaskState.FAILED, TaskState.CANCELED}
-    idx = LIFECYCLE.index(state)
-    nxt = idx + 1
-    # Skip staging states with no matching directives.
-    while nxt < len(LIFECYCLE):
-        cand = LIFECYCLE[nxt]
-        directives = _SKIPPABLE.get(cand)
-        if directives is not None and not getattr(task.description, directives):
-            nxt += 1
+        return frozenset()
+    succ = {TaskState.FAILED, TaskState.CANCELED}
+    for cand in LIFECYCLE[LIFECYCLE.index(state) + 1:]:
+        # A staging state is skipped when the task has no such directives.
+        if (cand == TaskState.STAGING_IN and not stage_in) or \
+                (cand == TaskState.STAGING_OUT and not stage_out):
             continue
         succ.add(cand)
         break
-    return succ
+    return frozenset(succ)
 
 
-def advance_task_state(task: Task, next_state: TaskState, now: float, tracer=None) -> Task:
-    """Advance a task to its next lifecycle state, stamping the time."""
-    if next_state not in _legal_successors(task):
+# Legal successors per (state, has stage_in, has stage_out).
+_SUCCESSORS = {(s, i, o): _successors(s, i, o)
+               for s in TaskState for i in (False, True) for o in (False, True)}
+
+
+def advance_task_state(task: Task, next_state: TaskState, now: float) -> Task:
+    """Advance a task to its next lifecycle state, stamping the time.
+
+    The only place that changes a task's state; raises IllegalTransition
+    for any step the lifecycle does not allow.
+    """
+    td = task.description
+    if next_state not in _SUCCESSORS[task.state, bool(td.stage_in), bool(td.stage_out)]:
         raise IllegalTransition(f"task {task.uid!r}: {task.state.value} -> {next_state.value}")
     task.state = next_state
     task.timestamps[next_state.value] = now
-    if tracer is not None:
-        tracer.emit("agent", f"state_{next_state.value.lower()}", task_uid=task.uid, timestamp=now)
     return task
 
 

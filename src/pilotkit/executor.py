@@ -41,7 +41,6 @@ class DvmState(str, Enum):
     BOOTING = "booting"
     READY = "ready"
     FAILED = "failed"
-    DOWN = "down"
 
 
 @dataclass
@@ -50,7 +49,8 @@ class Dvm:
     node_indices: tuple[int, ...]
     state: DvmState = DvmState.BOOTING
     latency_model: LatencyModel = field(default_factory=LatencyModel)
-    inflight: int = 0
+    # uids launched and not yet returned, in launch order (dict as ordered set)
+    inflight: dict[str, None] = field(default_factory=dict)
 
 
 def partition_dvms(node_list: NodeList, max_nodes_per_dvm: int,

@@ -11,18 +11,17 @@ from __future__ import annotations
 import heapq
 import random
 
+from .agent import AgentCore
 from .core import (
+    TERMINAL_STATES,
     Fabric,
     PilotDescription,
     Task,
     TaskDescription,
     TaskState,
-    ValidationError,
     build_node_list,
-    validate_task_description,
 )
-from .executor import Dvm, DvmSelector, DvmState, NoReadyDvm, partition_dvms
-from .scheduler import Scheduler, SlotMap
+from .executor import DvmSelector, DvmState, NoReadyDvm, partition_dvms
 from .tracer import Tracer
 
 
@@ -53,43 +52,46 @@ def sim_duration(td: TaskDescription, rng: random.Random) -> float:
     return 0.0
 
 
-class SimAgent:
-    """Deterministic single-threaded simulation of one pilot's agent."""
+class SimAgent(AgentCore):
+    """Deterministic single-threaded simulation of one pilot's agent.
+
+    Placed tasks launch through the pilot's DVMs: each launch becomes four
+    events on a virtual-clock heap (prepare_start, exec_start, exec_stop,
+    spawn_return) whose times come from the DVM's latency model.
+    """
 
     def __init__(self, pd: PilotDescription, tracer: Tracer, seed: int = 0,
-                 bulk_size: int = 1024, dvm_policy: str = "round_robin",
                  dvm_failures: list[tuple[int, float]] | None = None):
         assert pd.fabric == Fabric.SIMULATED
-        self.pd = pd
-        self.tracer = tracer
+        super().__init__(pd, tracer, build_node_list(pd))
         self.rng = random.Random(seed)
-        self.bulk_size = bulk_size
-        self.dvm_policy = dvm_policy
         self.dvm_failures = list(dvm_failures or [])
-        self.node_list = build_node_list(pd)
-        self.scheduler = Scheduler(SlotMap(self.node_list))
         self.dvms = partition_dvms(self.node_list, pd.dvm_max_nodes, pd.latency_model)
         self.selector = DvmSelector(self.dvms)
-        self.tasks: dict[str, Task] = {}
         self._heap: list = []
         self._seq = 0
         self._attempt: dict[str, int] = {}
         self._retried: set[str] = set()
-        self._inflight_by_dvm: dict[int, dict[str, float]] = {}  # dvm -> uid -> duration
         self._waiting_traced: set[str] = set()
         self._pending_retries: list[tuple[Task, int]] = []
-        self._dirty = False
         self.now = 0.0
 
-    # event plumbing ------------------------------------------------------
+    # backend hooks -------------------------------------------------------
 
-    def _push(self, t: float, kind: str, data):
-        heapq.heappush(self._heap, (t, self._seq, kind, data))
-        self._seq += 1
+    def _now(self) -> float:
+        return self.now
 
     def _emit(self, component: str, name: str, uid: str | None = None,
               detail: str | None = None):
         self.tracer.emit(component, name, task_uid=uid, detail=detail, timestamp=self.now)
+
+    def _reject(self, task: Task, reason: str):
+        self._emit("scheduler", "schedule_fail", task.uid, reason)
+        super()._reject(task, reason)
+
+    def _push(self, t: float, kind: str, data):
+        heapq.heappush(self._heap, (t, self._seq, kind, data))
+        self._seq += 1
 
     # workload entry ------------------------------------------------------
 
@@ -108,21 +110,9 @@ class SimAgent:
         for dvm_id, t in self.dvm_failures:
             self._push(t, "dvm_fail", dvm_id)
 
-        # Bulk pull from the queue: everything already submitted is pulled
-        # at agent readiness, bulk_size tasks at a time.
-        for start in range(0, len(tds), self.bulk_size):
-            for td in tds[start:start + self.bulk_size]:
-                task = Task(description=td, state=TaskState.AGENT_PULLED)
-                task.timestamps["SUBMITTED"] = 0.0
-                task.timestamps["AGENT_PULLED"] = self.now
-                self.tasks[td.uid] = task
-                self._emit("agent", "db_bridge_pull", uid=td.uid)
-                try:
-                    validate_task_description(td, pd)
-                except ValidationError as exc:
-                    self._fail(task, str(exc))
-                    continue
-                self.scheduler.submit(td)
+        # Everything submitted is pulled at agent readiness.
+        for td in tds:
+            self._pull(td)
 
         self._rescan()
         while self._heap:
@@ -137,36 +127,25 @@ class SimAgent:
                     for task, exclude in retries:
                         self._submit_to_dvm(task, first=False, exclude=exclude)
                 if self._dirty:
-                    self._dirty = False
                     self._rescan()
         for task in self.tasks.values():
-            if task.state not in (TaskState.DONE, TaskState.FAILED, TaskState.CANCELED):
-                self._fail(task, "unschedulable at drain")
+            if task.state not in TERMINAL_STATES:
+                self._reject(task, "unschedulable at drain")
         self.now += pd.teardown_s
         self._emit("agent", "agent_stop", detail=pd.uid)
         return self.tasks
 
     # internals -----------------------------------------------------------
 
-    def _fail(self, task: Task, reason: str):
-        task.state = TaskState.FAILED
-        task.error = reason
-        task.timestamps["FAILED"] = self.now
-        self._emit("scheduler", "schedule_fail", uid=task.uid, detail=reason)
-        self._emit("agent", "task_failed", uid=task.uid, detail=reason)
-
     def _rescan(self):
-        placed = self.scheduler.rescan()
-        for td, placement in placed:
-            task = self.tasks[td.uid]
-            task.placement = placement
-            task.state = TaskState.SCHEDULED
-            task.timestamps["SCHEDULED"] = self.now
-            self._submit_to_dvm(task, first=True)
+        super()._rescan()
         for td in self.scheduler.waiting:
             if td.uid not in self._waiting_traced:
                 self._waiting_traced.add(td.uid)
                 self._emit("scheduler", "schedule_wait", uid=td.uid)
+
+    def _launch(self, task: Task):
+        self._submit_to_dvm(task, first=True)
 
     def _submit_to_dvm(self, task: Task, first: bool, exclude: int | None = None):
         td = task.description
@@ -174,21 +153,18 @@ class SimAgent:
             if exclude is not None:
                 dvm = self.selector.select_excluding(exclude)
             else:
-                dvm = self.selector.select(td.tag, self.dvm_policy)
+                dvm = self.selector.select(td.tag)
         except NoReadyDvm:
-            self._finish(task, ok=False, reason="no ready DVM")
+            self._release(task)
+            self._end(task, TaskState.FAILED, "no ready DVM")
             return
         if first:
-            self._emit(
-                "scheduler", "schedule_ok", uid=td.uid,
-                detail=f"{task.placement.serialize()}|dvm={dvm.id}"
-                       f"|mpi={int(td.uses_mpi)}")
+            self._schedule_ok(task, f"|dvm={dvm.id}")
         lm = dvm.latency_model
         prepare = lm.sample_prepare(self.rng)
         duration = sim_duration(td, self.rng)
-        ack = lm.sample_ack(self.rng, dvm.inflight)
-        dvm.inflight += 1
-        self._inflight_by_dvm.setdefault(dvm.id, {})[td.uid] = duration
+        ack = lm.sample_ack(self.rng, len(dvm.inflight))
+        dvm.inflight[td.uid] = None
         attempt = self._attempt.get(td.uid, 0)
         t0 = self.now
         self._push(t0, "prepare_start", (td.uid, attempt, dvm.id))
@@ -196,46 +172,23 @@ class SimAgent:
         self._push(t0 + prepare + duration, "exec_stop", (td.uid, attempt, dvm.id))
         self._push(t0 + prepare + duration + ack, "spawn_return", (td.uid, attempt, dvm.id))
 
-    def _stale(self, uid: str, attempt: int) -> bool:
-        return self._attempt.get(uid, 0) != attempt
-
     def _handle(self, kind: str, data):
         if kind == "dvm_fail":
             self._on_dvm_fail(data)
             return
         uid, attempt, dvm_id = data
-        if self._stale(uid, attempt):
-            return
+        if self._attempt.get(uid, 0) != attempt:
+            return  # an event of a launch lost with its DVM
         task = self.tasks[uid]
-        if kind == "prepare_start":
-            self._emit("executor", "prepare_start", uid=uid, detail=str(dvm_id))
-        elif kind == "exec_start":
-            task.state = TaskState.EXECUTING
-            task.timestamps["EXECUTING"] = self.now
-            self._emit("executor", "exec_start", uid=uid, detail=str(dvm_id))
-        elif kind == "exec_stop":
-            self._emit("executor", "exec_stop", uid=uid, detail=str(dvm_id))
+        if kind == "exec_start":
+            # A relaunch after a lost DVM finds the task already EXECUTING.
+            if task.state != TaskState.EXECUTING:
+                self._advance(task, TaskState.EXECUTING)
         elif kind == "spawn_return":
-            dvm = self.dvms[dvm_id]
-            dvm.inflight -= 1
-            self._inflight_by_dvm.get(dvm_id, {}).pop(uid, None)
-            self._emit("executor", "spawn_return", uid=uid, detail=str(dvm_id))
-            self._finish(task, ok=True)
-
-    def _finish(self, task: Task, ok: bool, reason: str | None = None):
-        if task.placement is not None:
-            self.scheduler.complete(task.placement)
-            self._dirty = True
-        if ok:
-            task.state = TaskState.DONE
-            task.exit_code = 0
-            task.timestamps["DONE"] = self.now
-            self._emit("agent", "task_done", uid=task.uid)
-        else:
-            task.state = TaskState.FAILED
-            task.error = reason
-            task.timestamps["FAILED"] = self.now
-            self._emit("agent", "task_failed", uid=task.uid, detail=reason or "")
+            del self.dvms[dvm_id].inflight[uid]
+            self._returned(task, True, 0, detail=str(dvm_id))
+            return
+        self._emit("executor", kind, uid=uid, detail=str(dvm_id))
 
     def _on_dvm_fail(self, dvm_id: int):
         dvm = self.dvms[dvm_id]
@@ -243,14 +196,13 @@ class SimAgent:
             return
         dvm.state = DvmState.FAILED
         self._emit("executor", "dvm_failed", detail=str(dvm_id))
-        stranded = list(self._inflight_by_dvm.get(dvm_id, {}).keys())
-        self._inflight_by_dvm[dvm_id] = {}
-        dvm.inflight = 0
+        stranded, dvm.inflight = list(dvm.inflight), {}
         for uid in stranded:
             task = self.tasks[uid]
             self._attempt[uid] = self._attempt.get(uid, 0) + 1
             if uid in self._retried:
-                self._finish(task, ok=False, reason=f"DVM {dvm_id} failed twice for task")
+                self._release(task)
+                self._end(task, TaskState.FAILED, f"DVM {dvm_id} failed twice for task")
                 continue
             self._retried.add(uid)
             # Keep the placement; resubmit the same slots to a surviving DVM

@@ -50,10 +50,6 @@ EVENT_REGISTRY = frozenset(
         "call_dispatch",
         "call_result",
     }
-    | {f"state_{s.lower()}" for s in (
-        "submitted", "agent_pulled", "staging_in", "scheduled", "executing",
-        "staging_out", "done", "failed", "canceled",
-    )}
 )
 
 DEFAULT_BUFFER_EVENTS = 4096

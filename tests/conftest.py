@@ -6,7 +6,15 @@ from pathlib import Path
 import pytest
 
 import pilotkit
-from pilotkit.core import Fabric, LatencyModel, PilotDescription, TaskDescription
+from pilotkit.core import (
+    LIFECYCLE,
+    TERMINAL_STATES,
+    Fabric,
+    LatencyModel,
+    PilotDescription,
+    TaskDescription,
+    TaskState,
+)
 
 
 @pytest.fixture
@@ -33,6 +41,20 @@ def task(uid, cores=1, gpus=0, mpi=False, duration=0.0, tag=None, **kw):
         uid=uid, executable="pilotkit-emulate",
         arguments=("--duration", str(duration)),
         cores_per_task=cores, gpus_per_task=gpus, uses_mpi=mpi, tag=tag, **kw)
+
+
+def assert_lifecycle(t):
+    """The states a task visited (its timestamps, in visit order) follow
+    LIFECYCLE order with non-decreasing times and end in exactly one
+    terminal state: the task's current one."""
+    order = {s.value: i for i, s in enumerate(LIFECYCLE)}
+    visited = list(t.timestamps)
+    terminal = [s for s in visited if TaskState(s) in TERMINAL_STATES]
+    assert terminal == [t.state.value] == visited[-1:], (t.uid, visited)
+    path = [order[s] for s in visited if s in order]
+    assert path == sorted(set(path)), (t.uid, visited)
+    stamps = list(t.timestamps.values())
+    assert stamps == sorted(stamps), (t.uid, t.timestamps)
 
 
 def run_console_script(name, *args):

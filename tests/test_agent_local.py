@@ -8,12 +8,12 @@ import time
 import pytest
 
 from pilotkit import bus
-from pilotkit.agent import AgentConfig, FUNCTION_REGISTRY, LocalAgent, register_function
-from pilotkit.analytics import load_session_traces
+from pilotkit.agent import FUNCTION_REGISTRY, LocalAgent, register_function
+from pilotkit.analytics import compute_utilization, load_session_traces
 from pilotkit.core import TaskDescription, TaskKind, TaskState
 from pilotkit.tracer import Tracer
 
-from conftest import task
+from conftest import assert_lifecycle, task
 
 
 @pytest.fixture
@@ -22,7 +22,7 @@ def agent_env(local_pilot, tmp_path):
     pd = local_pilot(cores=4)
     hub = bus.MessageHub()
     tracer = Tracer(str(tmp_path / "traces"))
-    agent = LocalAgent(AgentConfig(pilot=pd), hub, tracer,
+    agent = LocalAgent(pd, hub, tracer,
                        sandbox_root=str(tmp_path / "sandbox"))
     agent.start()
     assert agent.ready.wait(5.0)
@@ -127,11 +127,18 @@ class TestFunctionTasks:
 
     def test_unknown_function_fails(self, agent_env):
         agent, hub, tracer = agent_env
-        td = TaskDescription(uid="f1", kind=TaskKind.FUNCTION, function="nope")
-        submit(agent, td)
-        tasks = wait_terminal(agent, ["f1"])
+        submit(agent,
+               TaskDescription(uid="f1", kind=TaskKind.FUNCTION, function="nope"),
+               TaskDescription(uid="g", kind=TaskKind.FUNCTION, function="noop"))
+        tasks = wait_terminal(agent, ["f1", "g"])
         assert tasks["f1"].state == TaskState.FAILED
         assert "nope" in tasks["f1"].error
+        assert tasks["f1"].placement is None  # failed at pull, took no slot
+        assert tasks["g"].state == TaskState.DONE
+        agent.stop()
+        tracer.close()
+        report = compute_utilization(load_session_traces(tracer.directory), agent.pd)
+        assert sum(report.breakdown_us.values()) == report.total_core_us
 
     def test_registered_function_gets_context(self, agent_env):
         agent, hub, tracer = agent_env
@@ -191,12 +198,46 @@ class TestStaging:
         assert "SourceMissing" in tasks["s1"].error
 
 
+class TestLifecycle:
+    def test_staged_tasks_and_a_cancel(self, agent_env, tmp_path):
+        agent, hub, tracer = agent_env
+        src = tmp_path / "in.txt"
+        src.write_text("x")
+        stage_in = ((str(src), "in.txt"),)
+        tds = [
+            TaskDescription(uid="in", executable="sh", arguments=("-c", "cat in.txt"),
+                            stage_in=stage_in),
+            TaskDescription(uid="out", executable="sh", arguments=("-c", "echo y > o"),
+                            stage_out=(("o", str(tmp_path / "o1")),)),
+            TaskDescription(uid="both", executable="sh", arguments=("-c", "cp in.txt o"),
+                            stage_in=stage_in, stage_out=(("o", str(tmp_path / "o2")),)),
+        ]
+        submit(agent, *tds)
+        staged = wait_terminal(agent, [td.uid for td in tds])
+        submit(agent, task("long", duration=60.0), task("wide", cores=4))
+        deadline = time.monotonic() + 10.0
+        while agent.tasks.get("long") is None or \
+                agent.tasks["long"].state != TaskState.EXECUTING:
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        agent.stop(cancel=True)
+        assert [staged[u].state for u in ("in", "out", "both")] == [TaskState.DONE] * 3
+        assert "STAGING_IN" in staged["in"].timestamps
+        assert "STAGING_OUT" in staged["out"].timestamps
+        assert {"STAGING_IN", "STAGING_OUT"} <= set(staged["both"].timestamps)
+        assert (tmp_path / "o2").read_text() == "x"
+        assert agent.tasks["long"].state == TaskState.CANCELED
+        assert agent.tasks["wide"].state == TaskState.CANCELED
+        for t in agent.tasks.values():
+            assert_lifecycle(t)
+
+
 class TestCancel:
     def test_cancel_terminates_running_process(self, local_pilot, tmp_path):
         pd = local_pilot(cores=2)
         hub = bus.MessageHub()
         tracer = Tracer(str(tmp_path / "traces"))
-        agent = LocalAgent(AgentConfig(pilot=pd), hub, tracer,
+        agent = LocalAgent(pd, hub, tracer,
                            sandbox_root=str(tmp_path / "sandbox"))
         agent.start()
         assert agent.ready.wait(5.0)
@@ -236,7 +277,7 @@ class TestEvents:
         hub = bus.MessageHub()
         sub = hub.open("task_state", bus.TOPIC).subscribe()
         tracer = Tracer(str(tmp_path / "traces"))
-        agent = LocalAgent(AgentConfig(pilot=pd), hub, tracer,
+        agent = LocalAgent(pd, hub, tracer,
                            sandbox_root=str(tmp_path / "sandbox"))
         agent.start()
         assert agent.ready.wait(5.0)

@@ -1,34 +1,24 @@
-"""Channel semantics over both transports: exactly-once queue delivery,
-topic broadcast, per-producer FIFO, framing and handshake behavior."""
+"""Channel semantics: exactly-once queue delivery, topic broadcast,
+per-producer FIFO, and hub reopen rules."""
 
-import struct
 import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pilotkit.bus import (
-    AddressInUse,
     Channel,
     ChannelClosed,
-    INPROC,
     KindMismatch,
     MessageHub,
     QUEUE,
-    TCP,
     TOPIC,
-    TcpChannel,
     pack_message,
     unpack_message,
 )
 
-TRANSPORTS = [INPROC, TCP]
-
-
-def make_channel(hub, name, kind, transport):
-    if transport == TCP:
-        return hub.open(name, kind, TCP, address=("127.0.0.1", 0))
-    return hub.open(name, kind)
+# In-process is the only transport; the parameter keeps the test ids.
+TRANSPORTS = ["in-process"]
 
 
 @pytest.fixture
@@ -51,7 +41,7 @@ class TestPackMessage:
 @pytest.mark.parametrize("transport", TRANSPORTS)
 class TestQueue:
     def test_fifo_single_consumer(self, hub, transport):
-        ch = make_channel(hub, "q", QUEUE, transport)
+        ch = hub.open("q", QUEUE)
         msgs = [pack_message({"i": i}) for i in range(50)]
         ch.send(msgs)
         got = []
@@ -60,12 +50,9 @@ class TestQueue:
         assert got == msgs
 
     def test_exactly_once_two_consumers(self, hub, transport):
-        ch = make_channel(hub, "q", QUEUE, transport)
+        ch = hub.open("q", QUEUE)
         n = 200
-        if transport == TCP:
-            consumers = [ch.consumer(), ch.consumer()]
-        else:
-            consumers = [ch, ch]  # in-process queue endpoint is shared
+        consumers = [ch, ch]  # the queue endpoint is shared
         received = [[], []]
 
         def drain(idx):
@@ -84,11 +71,11 @@ class TestQueue:
         assert sorted(received[0] + received[1]) == list(range(n))
 
     def test_receive_timeout_returns_empty(self, hub, transport):
-        ch = make_channel(hub, "q", QUEUE, transport)
+        ch = hub.open("q", QUEUE)
         assert ch.receive(max_msgs=4, timeout_s=0.05) == []
 
     def test_subscribe_rejected(self, hub, transport):
-        ch = make_channel(hub, "q", QUEUE, transport)
+        ch = hub.open("q", QUEUE)
         with pytest.raises(KindMismatch):
             ch.subscribe()
 
@@ -96,7 +83,7 @@ class TestQueue:
 @pytest.mark.parametrize("transport", TRANSPORTS)
 class TestTopic:
     def test_broadcast_to_all_subscribers(self, hub, transport):
-        ch = make_channel(hub, "t", TOPIC, transport)
+        ch = hub.open("t", TOPIC)
         subs = [ch.subscribe() for _ in range(3)]
         msgs = [pack_message({"i": i}) for i in range(20)]
         ch.send(msgs)
@@ -109,7 +96,7 @@ class TestTopic:
             assert got == msgs
 
     def test_receive_rejected_without_subscribe(self, hub, transport):
-        ch = make_channel(hub, "t", TOPIC, transport)
+        ch = hub.open("t", TOPIC)
         with pytest.raises(KindMismatch):
             ch.receive()
 
@@ -125,78 +112,11 @@ class TestHub:
         with pytest.raises(KindMismatch):
             hub.open("x", TOPIC)
 
-    def test_transport_mismatch_on_reopen(self, hub):
-        hub.open("x", QUEUE, INPROC)
-        with pytest.raises(KindMismatch):
-            hub.open("x", QUEUE, TCP, address=("127.0.0.1", 0))
-
     def test_closed_channel_raises(self, hub):
         ch = hub.open("x", QUEUE)
         hub.close()
         with pytest.raises(ChannelClosed):
             ch.send([b"m"])
-
-
-class TestTcpWire:
-    def test_frame_layout(self, hub):
-        # observe the raw frames a producer emits
-        import socket
-
-        srv = socket.create_server(("127.0.0.1", 0))
-        addr = srv.getsockname()
-        frames = []
-
-        def fake_bridge():
-            conn, _ = srv.accept()
-            # handshake frame, then ack
-            hdr = conn.recv(4)
-            (n,) = struct.unpack(">I", hdr)
-            hello = conn.recv(n)
-            frames.append(hello)
-            ack = pack_message({"ok": True})
-            conn.sendall(struct.pack(">I", len(ack)) + ack)
-            hdr = conn.recv(4)
-            (n,) = struct.unpack(">I", hdr)
-            frames.append(conn.recv(n))
-            conn.close()
-
-        t = threading.Thread(target=fake_bridge)
-        t.start()
-        ch = TcpChannel.__new__(TcpChannel)  # only exercise the client side
-        ch.name, ch.kind, ch.closed = "w", QUEUE, False
-        ch.address = addr
-        ch._producer_sock = None
-        ch.send([pack_message({"i": 7})])
-        t.join()
-        srv.close()
-        ch._producer_sock.close()
-        hello = unpack_message(frames[0])
-        assert hello["role"] == "producer" and hello["kind"] == QUEUE
-        assert unpack_message(frames[1]) == {"i": 7}
-
-    def test_handshake_kind_mismatch(self, hub):
-        ch = make_channel(hub, "t", TOPIC, TCP)
-        bad = TcpChannel.__new__(TcpChannel)
-        bad.name, bad.kind, bad.closed = "t", QUEUE, False
-        bad.address = ch.address
-        bad._producer_sock = None
-        with pytest.raises(KindMismatch):
-            bad.send([b"m"])
-
-    def test_address_in_use(self, hub):
-        ch = make_channel(hub, "a", QUEUE, TCP)
-        with pytest.raises(AddressInUse):
-            TcpChannel("b", QUEUE, ch.address)
-
-    def test_send_before_consumer_is_buffered(self, hub):
-        ch = make_channel(hub, "q", QUEUE, TCP)
-        ch.send([pack_message({"i": i}) for i in range(5)])
-        got = []
-        while len(got) < 5:
-            batch = ch.receive(max_msgs=5, timeout_s=2.0)
-            assert batch
-            got.extend(batch)
-        assert [unpack_message(m)["i"] for m in got] == list(range(5))
 
 
 @settings(max_examples=30, deadline=None)
