@@ -311,9 +311,8 @@ class LocalAgent(AgentCore):
         # Completions not yet taken are dropped: everything non-terminal,
         # waiting or running, ends CANCELED.
         with self._lock:
-            for td in self.scheduler.waiting:
+            for td in self.scheduler.take_waiting():
                 self._end(self.tasks[td.uid], TaskState.CANCELED)
-            self.scheduler.waiting = []
             for r in self.running.values():
                 self._release(r.task)
                 self._end(r.task, TaskState.CANCELED)

@@ -4,12 +4,22 @@ Two policies: continuous (first fit over nodes in index order) and tagged
 (first use of a tag binds it to the nodes picked by continuous allocation;
 later uses are pinned to exactly those nodes). Ties always break toward the
 lowest node index, then the lowest slot index.
+
+Placement costs what it places, not the pilot's size or the backlog.
+``SlotMap`` keeps a free-capacity index, a max tree over node order, that
+leads first fit to the lowest node that fits and an MPI span to the nodes
+with a free core, and per-node ascending free-slot lists whose prefixes are
+the lowest free slots. ``Scheduler`` keeps waiting tasks in one FIFO bucket
+per task shape, so a rescan tries bucket heads in arrival order and drops most
+shapes at their first NoFit instead of walking every waiting task.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
+import bisect
+import heapq
+from collections import deque
+from dataclasses import dataclass
 
 from .core import BUSY, FREE, NodeList, PilotkitError, TaskDescription
 
@@ -70,64 +80,140 @@ class Placement:
 
 
 class SlotMap:
-    """Occupancy table over a NodeList plus the busy-placement ledger."""
+    """Occupancy table over a NodeList, the busy-placement ledger and the
+    free-capacity index.
+
+    The index is a binary max tree over node order: entry ``k`` holds the
+    largest free core count and the largest free GPU count of the nodes
+    below it, leaf ``size + i`` is node ``i``, and padding leaves hold -1 so
+    that nothing fits there. ``apply`` and ``release`` keep the index, the
+    per-node free counts and the per-node ascending free-slot lists current.
+    """
 
     def __init__(self, node_list: NodeList):
+        nodes = node_list.nodes
         self.node_list = node_list
         self.busy: dict[str, Placement] = {}
-        self.free_cores = [n.free_cores for n in node_list.nodes]
-        self.free_gpus = [n.free_gpus for n in node_list.nodes]
+        self.free_cores = [n.free_cores for n in nodes]
+        self.free_gpus = [n.free_gpus for n in nodes]
         self.total_free_cores = sum(self.free_cores)
         self.total_free_gpus = sum(self.free_gpus)
         self.total_cores = self.total_free_cores
         self.total_gpus = self.total_free_gpus
+        self._core_ids = [[i for i, s in enumerate(n.core_states) if s == FREE] for n in nodes]
+        self._gpu_ids = [[i for i, s in enumerate(n.gpu_states) if s == FREE] for n in nodes]
+        size = 1
+        while size < len(nodes):
+            size *= 2
+        self._size = size
+        mc = self._max_cores = [-1] * (2 * size)
+        mg = self._max_gpus = [-1] * (2 * size)
+        mc[size:size + len(nodes)] = self.free_cores
+        mg[size:size + len(nodes)] = self.free_gpus
+        for k in range(size - 1, 0, -1):
+            mc[k] = max(mc[2 * k], mc[2 * k + 1])
+            mg[k] = max(mg[2 * k], mg[2 * k + 1])
 
     def apply(self, placement: Placement):
         if placement.task_uid in self.busy:
             raise PilotkitError(f"task {placement.task_uid!r} already placed")
         for a in placement.assignments:
-            node = self.node_list.nodes[a.node_index]
+            i = a.node_index
+            node = self.node_list.nodes[i]
+            core_ids, gpu_ids = self._core_ids[i], self._gpu_ids[i]
             for c in a.core_indices:
                 assert node.core_states[c] == FREE
                 node.core_states[c] = BUSY
+                core_ids.remove(c)
             for g in a.gpu_indices:
                 assert node.gpu_states[g] == FREE
                 node.gpu_states[g] = BUSY
-            self.free_cores[a.node_index] -= len(a.core_indices)
-            self.free_gpus[a.node_index] -= len(a.gpu_indices)
+                gpu_ids.remove(g)
+            self.free_cores[i] -= len(a.core_indices)
+            self.free_gpus[i] -= len(a.gpu_indices)
             self.total_free_cores -= len(a.core_indices)
             self.total_free_gpus -= len(a.gpu_indices)
+            self._update(i)
         self.busy[placement.task_uid] = placement
 
     def release(self, placement: Placement):
         if placement.task_uid not in self.busy:
             raise UnknownPlacement(f"task {placement.task_uid!r} is not busy")
         for a in placement.assignments:
-            node = self.node_list.nodes[a.node_index]
+            i = a.node_index
+            node = self.node_list.nodes[i]
+            core_ids, gpu_ids = self._core_ids[i], self._gpu_ids[i]
             for c in a.core_indices:
                 node.core_states[c] = FREE
+                bisect.insort(core_ids, c)
             for g in a.gpu_indices:
                 node.gpu_states[g] = FREE
-            self.free_cores[a.node_index] += len(a.core_indices)
-            self.free_gpus[a.node_index] += len(a.gpu_indices)
+                bisect.insort(gpu_ids, g)
+            self.free_cores[i] += len(a.core_indices)
+            self.free_gpus[i] += len(a.gpu_indices)
             self.total_free_cores += len(a.core_indices)
             self.total_free_gpus += len(a.gpu_indices)
+            self._update(i)
         del self.busy[placement.task_uid]
 
     def busy_slot_count(self) -> int:
         return sum(p.total_cores + p.total_gpus for p in self.busy.values())
 
-
-def _free_indices(states: list[int], count: int) -> tuple[int, ...]:
-    if count == 0:
-        return ()
-    out = []
-    for i, s in enumerate(states):
-        if s == FREE:
-            out.append(i)
-            if len(out) == count:
+    def _update(self, i: int):
+        """Refresh node ``i``'s leaf and its ancestors, up to the first
+        ancestor whose maxima stay the same."""
+        mc, mg = self._max_cores, self._max_gpus
+        k = i + self._size
+        mc[k], mg[k] = self.free_cores[i], self.free_gpus[i]
+        k >>= 1
+        while k:
+            left, right = 2 * k, 2 * k + 1
+            c = mc[left] if mc[left] > mc[right] else mc[right]
+            g = mg[left] if mg[left] > mg[right] else mg[right]
+            if mc[k] == c and mg[k] == g:
                 break
-    return tuple(out)
+            mc[k], mg[k] = c, g
+            k >>= 1
+
+    def _first_fit(self, cores: int, gpus: int, lo: int = 0) -> int:
+        """Lowest node index >= ``lo`` with ``cores`` free cores and ``gpus``
+        free GPUs, or -1.
+
+        Walks the tree left to right, starting at the largest subtree whose
+        leftmost node is ``lo`` (the root when ``lo`` is 0): a subtree whose
+        maxima cannot fit is stepped over, one whose maxima can is entered
+        at its left child. Both maxima fitting does not mean that one node
+        fits both, so an entered subtree may be left again to its right.
+        """
+        if lo >= len(self.free_cores):
+            return -1
+        mc, mg, size = self._max_cores, self._max_gpus, self._size
+        k = lo + size
+        k //= k & -k
+        while True:
+            if mc[k] >= cores and mg[k] >= gpus:
+                if k >= size:
+                    return k - size
+                k *= 2
+                continue
+            while k & 1:  # climb while a right child; the root is 1
+                k >>= 1
+            if not k:
+                return -1
+            k += 1
+
+    def _nodes_with_free_cores(self):
+        """Indices of the nodes that have a free core, ascending."""
+        i = self._first_fit(1, 0)
+        while i >= 0:
+            yield i
+            i = self._first_fit(1, 0, i + 1)
+
+    def _take(self, i: int, cores: int, gpus: int) -> NodeAssignment:
+        """The lowest ``cores`` free cores and ``gpus`` free GPUs of node ``i``."""
+        return NodeAssignment(node_index=i,
+                              core_indices=tuple(self._core_ids[i][:cores]),
+                              gpu_indices=tuple(self._gpu_ids[i][:gpus]))
 
 
 def allocate_continuous(td: TaskDescription, sm: SlotMap,
@@ -136,43 +222,36 @@ def allocate_continuous(td: TaskDescription, sm: SlotMap,
 
     Non-MPI tasks take the first node (lowest index) with enough free cores
     and GPUs. MPI tasks greedily take free capacity from nodes in index
-    order; a node contributes GPUs only if it also contributes cores.
+    order; a node contributes GPUs only if it also contributes cores. The
+    free-capacity index finds these nodes; a ``node_subset`` (the nodes a
+    tag is bound to) is walked in its own order instead.
     """
-    indices = node_subset if node_subset is not None else range(len(sm.node_list.nodes))
     c_need, g_need = td.cores_per_task, td.gpus_per_task
     if not td.uses_mpi:
-        for i in indices:
-            if sm.free_cores[i] >= c_need and sm.free_gpus[i] >= g_need:
-                node = sm.node_list.nodes[i]
-                placement = Placement(
-                    task_uid=td.uid,
-                    assignments=(NodeAssignment(
-                        node_index=i,
-                        core_indices=_free_indices(node.core_states, c_need),
-                        gpu_indices=_free_indices(node.gpu_states, g_need),
-                    ),),
-                )
-                sm.apply(placement)
-                return placement
-        raise NoFit(td.uid)
+        if node_subset is None:
+            i = sm._first_fit(c_need, g_need)
+        else:
+            i = next((i for i in node_subset
+                      if sm.free_cores[i] >= c_need and sm.free_gpus[i] >= g_need), -1)
+        if i < 0:
+            raise NoFit(td.uid)
+        placement = Placement(task_uid=td.uid, assignments=(sm._take(i, c_need, g_need),))
+        sm.apply(placement)
+        return placement
     # MPI: greedy span over nodes in index order.
     if sm.total_free_cores < c_need or sm.total_free_gpus < g_need:
         raise NoFit(td.uid)
     assignments = []
     remaining_c, remaining_g = c_need, g_need
-    for i in indices:
+    nodes = node_subset if node_subset is not None else sm._nodes_with_free_cores()
+    for i in nodes:
         if remaining_c == 0:
             break
         take_c = min(sm.free_cores[i], remaining_c)
         if take_c == 0:
             continue
         take_g = min(sm.free_gpus[i], remaining_g)
-        node = sm.node_list.nodes[i]
-        assignments.append(NodeAssignment(
-            node_index=i,
-            core_indices=_free_indices(node.core_states, take_c),
-            gpu_indices=_free_indices(node.gpu_states, take_g),
-        ))
+        assignments.append(sm._take(i, take_c, take_g))
         remaining_c -= take_c
         remaining_g -= take_g
     if remaining_c > 0 or remaining_g > 0:
@@ -204,35 +283,57 @@ def release_slots(placement: Placement, sm: SlotMap):
     sm.release(placement)
 
 
-@dataclass
-class _Waiting:
-    td: TaskDescription
-
-
 class Scheduler:
-    """FIFO waiting list plus first-fit allocation over a SlotMap.
+    """Waiting tasks plus first-fit allocation over a SlotMap.
 
-    ``submit`` queues a task; ``rescan`` walks the waiting list in FIFO
-    order placing every task that fits. Failed (cores, gpus) signatures are
-    remembered within one rescan so dominated tasks are skipped in O(1),
-    and the walk stops early once free capacity cannot fit any waiter.
+    ``submit`` queues a task in ``waiting`` (uid -> description, in arrival
+    order) and in the FIFO bucket of its shape: cores, GPUs, MPI, tag.
+    ``rescan`` merges the bucket heads in arrival order on a heap and places
+    every task that fits. Free capacity only shrinks during a rescan, so a
+    shape is done at its first NoFit, and an untagged shape that a failed
+    one dominates (as many cores and GPUs or more, same MPI capability) is
+    skipped untried. Tagged MPI shapes with GPUs are the exception: their
+    greedy span can reach a node with free GPUs once an earlier node has
+    lost cores, so each of their tasks is tried. The rescan stops once free
+    cores cannot fit the smallest waiting shape. It then leaves in
+    ``newly_waiting`` the tasks submitted since the previous rescan that
+    were not placed, in arrival order.
     """
 
     def __init__(self, slot_map: SlotMap):
         self.slot_map = slot_map
         self.tags = TagRegistry()
-        self.waiting: list[TaskDescription] = []
-        self._waiting_core_counts: Counter[int] = Counter()
+        self.waiting: dict[str, TaskDescription] = {}
+        self.newly_waiting: list[TaskDescription] = []
+        self._buckets: dict[tuple, deque[tuple[int, TaskDescription]]] = {}
+        self._seq = 0
+        self._submitted: list[TaskDescription] = []  # since the last rescan
 
     def submit(self, td: TaskDescription):
-        self.waiting.append(td)
-        self._waiting_core_counts[td.cores_per_task] += 1
+        if td.uid in self.waiting:
+            raise PilotkitError(f"task {td.uid!r} already waiting")
+        self.waiting[td.uid] = td
+        key = (td.cores_per_task, td.gpus_per_task, td.uses_mpi, td.tag)
+        bucket = self._buckets.get(key)
+        if bucket is None:
+            bucket = self._buckets[key] = deque()
+        bucket.append((self._seq, td))
+        self._seq += 1
+        self._submitted.append(td)
 
     def waiting_count(self) -> int:
         return len(self.waiting)
 
+    def take_waiting(self) -> list[TaskDescription]:
+        """Remove every waiting task; returns them in arrival order."""
+        tds = list(self.waiting.values())
+        self.waiting.clear()
+        self._buckets.clear()
+        self._submitted.clear()
+        return tds
+
     def _min_waiting_cores(self) -> int:
-        return min(self._waiting_core_counts) if self._waiting_core_counts else 0
+        return min((key[0] for key in self._buckets), default=0)
 
     def try_allocate(self, td: TaskDescription) -> Placement:
         if td.tag is not None:
@@ -241,37 +342,54 @@ class Scheduler:
 
     def rescan(self) -> list[tuple[TaskDescription, Placement]]:
         placed: list[tuple[TaskDescription, Placement]] = []
-        if not self.waiting:
+        submitted, self._submitted = self._submitted, []
+        sm, buckets = self.slot_map, self._buckets
+        if not buckets:
+            self.newly_waiting = []
             return placed
-        # Minimal failed (cores, gpus) frontiers, split by MPI capability.
-        failed_nonmpi: list[tuple[int, int]] = []
-        failed_mpi: list[tuple[int, int]] = []
-        survivors: list[TaskDescription] = []
-        sm = self.slot_map
-        min_cores = self._min_waiting_cores()
-        for pos, td in enumerate(self.waiting):
-            if sm.total_free_cores < min_cores or sm.total_free_cores == 0:
-                survivors.extend(self.waiting[pos:])
+        heads = [(bucket[0][0], key) for key, bucket in buckets.items()]
+        heapq.heapify(heads)
+        # fewest[mpi][g]: the fewest cores of a failed untagged shape with at
+        # most g GPUs; an untagged shape with as many cores or more is skipped.
+        # A table, not a list of failed shapes, because every bucket head is
+        # checked on every rescan.
+        top = max(key[1] for key in buckets) + 1
+        fewest = {False: [float("inf")] * top, True: [float("inf")] * top}
+        at: dict[tuple, int] = {}  # bucket -> position of its candidate, if not 0
+        min_cores = max(self._min_waiting_cores(), 1)
+        while heads:
+            if sm.total_free_cores < min_cores:
                 break
-            frontier = failed_mpi if td.uses_mpi else failed_nonmpi
-            c, g = td.cores_per_task, td.gpus_per_task
-            if td.tag is None and any(c >= fc and g >= fg for fc, fg in frontier):
-                survivors.append(td)
+            _, key = heapq.heappop(heads)
+            c, g, mpi, tag = key
+            if tag is None and c >= fewest[mpi][g]:
                 continue
+            bucket = buckets[key]
+            pos = at.get(key, 0)
+            td = bucket[pos][1]
             try:
                 placement = self.try_allocate(td)
             except NoFit:
-                if td.tag is None:
-                    frontier.append((c, g))
-                survivors.append(td)
+                if tag is None:
+                    limits = fewest[mpi]
+                    for j in range(g, top):
+                        if limits[j] > c:
+                            limits[j] = c
+                elif mpi and g and pos + 1 < len(bucket):
+                    at[key] = pos + 1
+                    heapq.heappush(heads, (bucket[pos + 1][0], key))
                 continue
             placed.append((td, placement))
-            self._waiting_core_counts[c] -= 1
-            if self._waiting_core_counts[c] == 0:
-                del self._waiting_core_counts[c]
-                if c == min_cores:
-                    min_cores = self._min_waiting_cores()
-        self.waiting = survivors
+            del self.waiting[td.uid]
+            del bucket[pos]
+            if pos < len(bucket):
+                heapq.heappush(heads, (bucket[pos][0], key))
+            elif not bucket:
+                del buckets[key]
+                if c <= min_cores:
+                    min_cores = max(self._min_waiting_cores(), 1)
+        waiting = self.waiting
+        self.newly_waiting = [td for td in submitted if td.uid in waiting]
         return placed
 
     def complete(self, placement: Placement):

@@ -72,7 +72,6 @@ class SimAgent(AgentCore):
         self._seq = 0
         self._attempt: dict[str, int] = {}
         self._retried: set[str] = set()
-        self._waiting_traced: set[str] = set()
         self._pending_retries: list[tuple[Task, int]] = []
         self.now = 0.0
 
@@ -108,7 +107,10 @@ class SimAgent(AgentCore):
             self._emit("executor", "dvm_ready", detail=str(dvm.id))
         self._emit("agent", "agent_ready", detail=pd.uid)
         for dvm_id, t in self.dvm_failures:
-            self._push(t, "dvm_fail", dvm_id)
+            if t < pd.bootstrap_s:
+                self._on_dvm_fail(dvm_id)  # lost before it could launch anything
+            else:
+                self._push(t, "dvm_fail", dvm_id)
 
         # Everything submitted is pulled at agent readiness.
         for td in tds:
@@ -117,6 +119,7 @@ class SimAgent(AgentCore):
         self._rescan()
         while self._heap:
             t, _, kind, data = heapq.heappop(self._heap)
+            assert t >= self.now, f"event at {t} s popped at {self.now} s"
             self.now = t
             self._handle(kind, data)
             if not self._heap or self._heap[0][0] > t:
@@ -139,10 +142,8 @@ class SimAgent(AgentCore):
 
     def _rescan(self):
         super()._rescan()
-        for td in self.scheduler.waiting:
-            if td.uid not in self._waiting_traced:
-                self._waiting_traced.add(td.uid)
-                self._emit("scheduler", "schedule_wait", uid=td.uid)
+        for td in self.scheduler.newly_waiting:
+            self._emit("scheduler", "schedule_wait", uid=td.uid)
 
     def _launch(self, task: Task):
         self._submit_to_dvm(task, first=True)

@@ -2,11 +2,12 @@
 brute-force first-fit oracle that works directly on slot-state copies."""
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pilotkit.core import FREE, build_node_list
+from pilotkit.core import FREE, Fabric, PilotDescription, PilotkitError, build_node_list
 from pilotkit.scheduler import (
     NoFit,
     Placement,
@@ -209,6 +210,13 @@ class TestSchedulerLoop:
         placed = sched.rescan()
         assert [td.uid for td, _ in placed] == ["small", "tiny"]
 
+    def test_duplicate_uid_rejected(self, sim_pilot):
+        sched = Scheduler(SlotMap(build_node_list(sim_pilot(nodes=1, cores=1))))
+        sched.submit(task("t"))
+        with pytest.raises(PilotkitError, match="already waiting"):
+            sched.submit(task("t"))
+        assert sched.waiting_count() == 1
+
     def test_determinism(self, sim_pilot):
         def run():
             sched = Scheduler(SlotMap(build_node_list(sim_pilot(nodes=2, cores=4))))
@@ -252,3 +260,204 @@ def test_oracle_equivalence_randomized(data):
             got = None
         assert got == expected
     assert snapshot(sm) == mirror
+
+
+def test_oracle_sweep_on_a_padded_index():
+    # 37 nodes pad the free-capacity tree to 64 leaves; 13 cores and 3 GPUs
+    # per node make subtrees whose core and GPU maxima sit on different nodes.
+    pd = PilotDescription(uid="p", fabric=Fabric.SIMULATED, nodes=37,
+                          cores_per_node=13, gpus_per_node=3)
+    sm = SlotMap(build_node_list(pd))
+    mirror = snapshot(sm)
+    rng = random.Random(37)
+    live = []
+    for i in range(3000):
+        if live and rng.random() < 0.45:
+            placement = live.pop(rng.randrange(len(live)))
+            release_slots(placement, sm)
+            for a in placement.assignments:
+                for c in a.core_indices:
+                    mirror[a.node_index][0][c] = 0
+                for g in a.gpu_indices:
+                    mirror[a.node_index][1][g] = 0
+            continue
+        mpi = rng.random() < 0.2
+        c = rng.randint(1, 60 if mpi else 13)
+        g = rng.randint(0, 6 if mpi else 3)
+        td = task(f"t{i}", cores=c, gpus=g, mpi=mpi)
+        expected = oracle_allocate(c, g, mpi, mirror)
+        try:
+            placement = allocate_continuous(td, sm)
+            got = placement_as_plan(placement)
+            live.append(placement)
+        except NoFit:
+            got = None
+        assert got == expected, f"instance {i}"
+    assert snapshot(sm) == mirror
+
+
+# --- rescan equivalence -------------------------------------------------
+
+class ReferenceScheduler:
+    """The rescan before shape buckets, kept as the reference: one FIFO
+    list walked in full, skipping untagged tasks that a failed (cores, gpus)
+    signature of the same MPI capability dominates. Newly waiting tasks are
+    found as the simulated agent found them, by remembering every waiter
+    already reported."""
+
+    def __init__(self, slot_map):
+        self.slot_map = slot_map
+        self.tags = TagRegistry()
+        self.waiting = []
+        self.newly_waiting = []
+        self._waiting_core_counts = Counter()
+        self._reported = set()
+
+    def submit(self, td):
+        self.waiting.append(td)
+        self._waiting_core_counts[td.cores_per_task] += 1
+
+    def _min_waiting_cores(self):
+        return min(self._waiting_core_counts) if self._waiting_core_counts else 0
+
+    def try_allocate(self, td):
+        if td.tag is not None:
+            return allocate_tagged(td, self.slot_map, self.tags)
+        return allocate_continuous(td, self.slot_map)
+
+    def rescan(self):
+        placed = []
+        failed_nonmpi, failed_mpi, survivors = [], [], []
+        sm = self.slot_map
+        min_cores = self._min_waiting_cores()
+        for pos, td in enumerate(self.waiting):
+            if sm.total_free_cores < min_cores or sm.total_free_cores == 0:
+                survivors.extend(self.waiting[pos:])
+                break
+            frontier = failed_mpi if td.uses_mpi else failed_nonmpi
+            c, g = td.cores_per_task, td.gpus_per_task
+            if td.tag is None and any(c >= fc and g >= fg for fc, fg in frontier):
+                survivors.append(td)
+                continue
+            try:
+                placement = self.try_allocate(td)
+            except NoFit:
+                if td.tag is None:
+                    frontier.append((c, g))
+                survivors.append(td)
+                continue
+            placed.append((td, placement))
+            self._waiting_core_counts[c] -= 1
+            if self._waiting_core_counts[c] == 0:
+                del self._waiting_core_counts[c]
+                if c == min_cores:
+                    min_cores = self._min_waiting_cores()
+        self.waiting = survivors
+        self.newly_waiting = [td for td in survivors if td.uid not in self._reported]
+        self._reported.update(td.uid for td in self.newly_waiting)
+        return placed
+
+    def complete(self, placement):
+        release_slots(placement, self.slot_map)
+
+
+def assert_same_rescan(sched, ref):
+    got = [(td.uid, p.serialize()) for td, p in sched.rescan()]
+    want = [(td.uid, p.serialize()) for td, p in ref.rescan()]
+    assert got == want
+    assert list(sched.waiting) == [td.uid for td in ref.waiting]
+    assert [td.uid for td in sched.newly_waiting] == [td.uid for td in ref.newly_waiting]
+    return got
+
+
+def rescan_both(sim_pilot, rounds):
+    """Run each round (tasks to submit, uids to complete first) through a
+    Scheduler and the reference on 3 nodes x 4 cores + 3 GPUs, asserting
+    the same rescan each time; returns the uids placed per round."""
+    pd = sim_pilot(nodes=3, cores=4, gpus=3)
+    sched = Scheduler(SlotMap(build_node_list(pd)))
+    ref = ReferenceScheduler(SlotMap(build_node_list(pd)))
+    placed = []
+    for tds, done in rounds:
+        for uid in done:
+            sched.complete(sched.slot_map.busy[uid])
+            ref.complete(ref.slot_map.busy[uid])
+        for td in tds:
+            sched.submit(td)
+            ref.submit(td)
+        placed.append([uid for uid, _ in assert_same_rescan(sched, ref)])
+    return placed
+
+
+# In each case below "hog" leaves node 0 with 3 free cores and no GPU, so a
+# tagged MPI task of 3 cores + 2 GPUs whose span starts at node 0 covers its
+# cores there and fails for want of GPUs. A later task of the same shape
+# fits once node 0 has lost a core, or once its tag is bound elsewhere, so
+# that shape must not be closed at its first NoFit.
+
+def test_tagged_mpi_gpu_shape_retried_after_its_tag_binds(sim_pilot):
+    # "b" binds T to node 1, where "c" fits.
+    placed = rescan_both(sim_pilot, [([task("hog", cores=1, gpus=3),
+                                       task("a", cores=3, gpus=2, mpi=True, tag="T"),
+                                       task("b", cores=1, gpus=1, tag="T"),
+                                       task("c", cores=3, gpus=2, mpi=True, tag="T")], [])])
+    assert placed == [["hog", "b", "c"]]
+
+
+def test_tagged_mpi_gpu_shape_retried_after_node_0_shrinks(sim_pilot):
+    # "x" takes a core of node 0, so the span of "a2" reaches node 1's GPUs
+    # and binds T.
+    placed = rescan_both(sim_pilot, [([task("hog", cores=1, gpus=3),
+                                       task("a", cores=3, gpus=2, mpi=True, tag="T"),
+                                       task("x", cores=1),
+                                       task("a2", cores=3, gpus=2, mpi=True, tag="T")], [])])
+    assert placed == [["hog", "x", "a2"]]
+
+
+def test_bound_tagged_mpi_gpu_shape_retried_after_node_0_shrinks(sim_pilot):
+    # "b" binds T to nodes 0 and 1 and completes; the same shrinking of
+    # node 0 then lets "a2" span the bound nodes.
+    placed = rescan_both(sim_pilot, [
+        ([task("hog", cores=1, gpus=3), task("b", cores=4, gpus=1, mpi=True, tag="T")], []),
+        ([task("a", cores=3, gpus=2, mpi=True, tag="T"),
+          task("x", cores=1),
+          task("a2", cores=3, gpus=2, mpi=True, tag="T")], ["b"]),
+    ])
+    assert placed == [["hog", "b"], ["x", "a2"]]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.data())
+def test_rescan_matches_the_full_list_walk(data):
+    nodes = data.draw(st.integers(1, 40), label="nodes")
+    cores = data.draw(st.integers(1, 8), label="cores")
+    gpus = data.draw(st.integers(0, 3), label="gpus")
+    pd = PilotDescription(uid="p", fabric=Fabric.SIMULATED, nodes=nodes,
+                          cores_per_node=cores, gpus_per_node=gpus)
+    sched = Scheduler(SlotMap(build_node_list(pd)))
+    ref = ReferenceScheduler(SlotMap(build_node_list(pd)))
+    # A few shapes per example, so that tasks share buckets.
+    shape = st.booleans().flatmap(lambda mpi: st.tuples(
+        st.just(mpi),
+        st.integers(1, 2 * cores + 1 if mpi else cores),
+        st.integers(0, 2 * gpus if mpi else gpus),
+        st.sampled_from([None, "A", "B"])))
+    shapes = data.draw(st.lists(shape, min_size=1, max_size=6), label="shapes")
+    n = 0
+    for op in data.draw(st.lists(st.sampled_from(["submit", "rescan", "complete"]),
+                                 min_size=1, max_size=60), label="ops"):
+        if op == "submit":
+            for _ in range(data.draw(st.integers(1, 6))):
+                mpi, c, g, tag = data.draw(st.sampled_from(shapes))
+                td = task(f"t{n}", cores=c, gpus=g, mpi=mpi, tag=tag)
+                n += 1
+                sched.submit(td)
+                ref.submit(td)
+        elif op == "rescan":
+            assert_same_rescan(sched, ref)
+        elif sched.slot_map.busy:
+            uid = data.draw(st.sampled_from(sorted(sched.slot_map.busy)))
+            sched.complete(sched.slot_map.busy[uid])
+            ref.complete(ref.slot_map.busy[uid])
+    assert_same_rescan(sched, ref)
+    assert snapshot(sched.slot_map) == snapshot(ref.slot_map)

@@ -166,6 +166,16 @@ class TestFaultTolerance:
         assert "STAGING_IN" in tasks["t00"].timestamps
         assert "STAGING_OUT" in tasks["t00"].timestamps
 
+    def test_dvm_lost_before_agent_ready_launches_nothing(self, sim_pilot, tmp_path):
+        pd = sim_pilot(nodes=4, cores=4, dvm_max=2, bootstrap_s=1.0)
+        tds = [task(f"t{i:02d}", duration=1.0) for i in range(16)]
+        tasks, trace = run_sim(pd, tds, tmp_path, dvm_failures=[(0, 0.5)])
+        assert all(t.state == TaskState.DONE for t in tasks.values())
+        assert trace.manifest["rejected_events"] == 0
+        assert [e.detail for e in trace.by_name("dvm_failed")] == ["0"]
+        assert not [e for e in trace.by_name("schedule_ok") if "|dvm=0|" in e.detail]
+        compute_utilization(trace, pd)
+
     def test_all_dvms_lost_drains_waiting(self, sim_pilot, tmp_path):
         pd = sim_pilot(nodes=2, cores=1, dvm_max=1)
         tracer = Tracer(str(tmp_path / "tr"))
@@ -217,6 +227,23 @@ def hetero_mix(n, seed):
             for i in range(n)]
 
 
+def tagged_mix(n, seed):
+    """The heterogeneous mix plus tags: each of four tags first binds a
+    40-core, 2-GPU MPI task's nodes; a third of the rest are pinned there,
+    some of them MPI."""
+    rng = random.Random(seed)
+    tags = ("a", "b", "c", "d")
+    tds = [task(f"lead-{tag}", cores=40, gpus=2, mpi=True, tag=tag, duration=1.0)
+           for tag in tags]
+    for i in range(n):
+        mpi = rng.random() < 0.1
+        tag = rng.choice(tags) if rng.random() < 0.33 else None
+        tds.append(task(f"t{i:03d}", cores=rng.randint(1, 24 if mpi else 8),
+                        gpus=rng.randint(0, 2), mpi=mpi, tag=tag,
+                        duration=round(rng.uniform(0.5, 2.0), 3)))
+    return tds
+
+
 def trace_sha256(trace_dir):
     h = hashlib.sha256()
     for name in sorted(os.listdir(trace_dir)):
@@ -237,3 +264,15 @@ class TestGoldenTrace:
         run_sim(pd, hetero_mix(120, seed=4), tmp_path, seed=4,
                 dvm_failures=[(1, 1.0), (2, 2.2)])
         assert trace_sha256(tmp_path / "traces") == self.DIGEST
+
+    # Computed before the scheduler gained its free-capacity index and
+    # shape buckets; those must not move a placement.
+    TAGGED_DIGEST = "a9069574d46e4736d924d7292376fa1ecabeb5725907e9d60dd92c51b12c2e73"
+
+    def test_tagged_mix_on_37_nodes(self, sim_pilot, tmp_path):
+        lm = LatencyModel(prepare_mean_s=0.037, prepare_std_s=0.01,
+                          ack_mean_s=0.135, ack_std_s=0.107, ack_scale_exponent=0.1)
+        pd = sim_pilot(nodes=37, cores=16, gpus=2, dvm_max=8, lm=lm)
+        tasks, _ = run_sim(pd, tagged_mix(400, seed=6), tmp_path, seed=6)
+        assert all(t.state == TaskState.DONE for t in tasks.values())
+        assert trace_sha256(tmp_path / "traces") == self.TAGGED_DIGEST
