@@ -99,12 +99,18 @@ class AgentCore:
         advance_task_state(task, state, self._now())
 
     def _pull(self, td: TaskDescription):
-        """Take a submitted task: validate, stage in, queue for placement."""
+        """Take a submitted task: validate, stage in, queue for placement.
+        A task whose uid was pulled before fails validation and is kept
+        out of the task table."""
         task = Task(description=td, state=TaskState.SUBMITTED)  # by the client
-        self.tasks[td.uid] = task
+        duplicate = td.uid in self.tasks
+        if not duplicate:
+            self.tasks[td.uid] = task
         self._advance(task, TaskState.AGENT_PULLED)
         self._emit("agent", "db_bridge_pull", td.uid)
         try:
+            if duplicate:
+                raise ValidationError(f"task {td.uid!r}: uid already pulled")
             self._validate(td)
         except ValidationError as exc:
             self._reject(task, str(exc))
@@ -159,8 +165,10 @@ class AgentCore:
     def _end(self, task: Task, state: TaskState, error: str | None = None):
         task.error = error
         self._advance(task, state)
-        self._emit("agent", _END_EVENTS[state], task.uid, error)
-        self._notify(task)
+        uid = task.description.uid
+        self._emit("agent", _END_EVENTS[state], uid, error)
+        if self.tasks.get(uid) is task:  # a refused duplicate's uid is not its own
+            self._notify(task)
 
 
 class FnContext:

@@ -31,6 +31,7 @@ from .simulator import SimAgent
 from .tracer import Tracer
 
 TERMINAL = {TaskState.DONE.value, TaskState.FAILED.value, TaskState.CANCELED.value}
+_SUBMITTED = TaskState.SUBMITTED.value
 
 
 class WorkdirUnwritable(PilotkitError):
@@ -55,7 +56,7 @@ class TaskHandle:
     def __init__(self, uid: str, pilot_uid: str):
         self.uid = uid
         self.pilot_uid = pilot_uid
-        self.state = TaskState.SUBMITTED.value
+        self.state = _SUBMITTED
         self.exit_code: int | None = None
         self.error: str | None = None
 
@@ -115,17 +116,18 @@ class TaskManager:
 
     def submit_tasks(self, tds: list[TaskDescription]) -> list[TaskHandle | ValidationError]:
         """Returns a handle per accepted task; a ValidationError entry marks
-        a rejected description without aborting the batch."""
+        a rejected description, or a uid already taken in this batch or
+        session, without aborting the batch."""
         out: list[TaskHandle | ValidationError] = []
         for td in tds:
             pilot = self._pick_pilot()
+            handle = TaskHandle(td.uid, pilot.uid)
             try:
                 validate_task_description(td, pilot.pd)
+                self.session._register_handle(handle)
             except ValidationError as exc:
                 out.append(exc)
                 continue
-            handle = TaskHandle(td.uid, pilot.uid)
-            self.session._register_handle(handle)
             self.session.tracer.emit("client", "task_submit", task_uid=td.uid,
                                      detail=pilot.uid)
             if pilot.pd.fabric == Fabric.LOCAL:
@@ -214,6 +216,8 @@ class Session:
 
     def _register_handle(self, handle: TaskHandle):
         with self._cond:
+            if handle.uid in self.handles:
+                raise ValidationError(f"task {handle.uid!r}: uid already submitted")
             self.handles[handle.uid] = handle
 
     def _notify_loop(self):
@@ -248,7 +252,7 @@ class Session:
                 for uid, task in tasks.items():
                     h = self.handles.get(uid)
                     if h is not None:
-                        h.state = task.state.value
+                        h.state = task.state._value_
                         h.exit_code = task.exit_code
                         h.error = task.error
                 self._cond.notify_all()

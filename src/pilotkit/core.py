@@ -374,7 +374,7 @@ def advance_task_state(task: Task, next_state: TaskState, now: float) -> Task:
     if next_state not in _SUCCESSORS[task.state, bool(td.stage_in), bool(td.stage_out)]:
         raise IllegalTransition(f"task {task.uid!r}: {task.state.value} -> {next_state.value}")
     task.state = next_state
-    task.timestamps[next_state.value] = now
+    task.timestamps[next_state._value_] = now
     return task
 
 

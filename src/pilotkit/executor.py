@@ -49,8 +49,9 @@ class Dvm:
     node_indices: tuple[int, ...]
     state: DvmState = DvmState.BOOTING
     latency_model: LatencyModel = field(default_factory=LatencyModel)
-    # uids launched and not yet returned, in launch order (dict as ordered set)
-    inflight: dict[str, None] = field(default_factory=dict)
+    # uid -> its launch, for the tasks launched and not yet returned, in
+    # launch order
+    inflight: dict[str, object] = field(default_factory=dict)
 
 
 def partition_dvms(node_list: NodeList, max_nodes_per_dvm: int,
@@ -75,7 +76,8 @@ class DvmSelector:
         self._rr = 0
 
     def ready(self) -> list[Dvm]:
-        return [d for d in self.dvms if d.state == DvmState.READY]
+        ready = DvmState.READY
+        return [d for d in self.dvms if d.state == ready]
 
     def select(self, tag: str | None, policy: str = "round_robin") -> Dvm:
         ready = self.ready()

@@ -61,8 +61,8 @@ class Placement:
         """Compact text form used in trace event details."""
         parts = []
         for a in self.assignments:
-            cores = ",".join(str(i) for i in a.core_indices)
-            gpus = ",".join(str(i) for i in a.gpu_indices)
+            cores = ",".join(map(str, a.core_indices))
+            gpus = ",".join(map(str, a.gpu_indices))
             parts.append(f"{a.node_index}:{cores}:{gpus}")
         return ";".join(parts)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import heapq
 import random
+from collections import defaultdict, deque
 
 from .agent import AgentCore
 from .core import (
@@ -19,6 +20,7 @@ from .core import (
     Task,
     TaskDescription,
     TaskState,
+    advance_task_state,
     build_node_list,
 )
 from .executor import DvmSelector, DvmState, NoReadyDvm, partition_dvms
@@ -52,12 +54,35 @@ def sim_duration(td: TaskDescription, rng: random.Random) -> float:
     return 0.0
 
 
+# The events of one launch, in the order they pop.
+STAGES = ("prepare_start", "exec_start", "exec_stop", "spawn_return")
+LOST = -1  # the stage of a heap entry that loses a DVM
+
+# An enum member read through its class costs about 0.1 us on Python 3.11;
+# the per-stage path reads this one as a module name.
+_EXECUTING = TaskState.EXECUTING
+
+
 class SimAgent(AgentCore):
     """Deterministic single-threaded simulation of one pilot's agent.
 
-    Placed tasks launch through the pilot's DVMs: each launch becomes four
-    events on a virtual-clock heap (prepare_start, exec_start, exec_stop,
-    spawn_return) whose times come from the DVM's latency model.
+    Placed tasks launch through the pilot's DVMs. A launch is the tuple
+    ``(uid, DVM id, DVM id as text, stage times, first sequence number)``
+    and has one queued entry at a time, which pops once per stage
+    (prepare_start, exec_start, exec_stop, spawn_return) at times drawn from
+    the DVM's latency model. A launch takes four consecutive sequence
+    numbers, and each popped stage queues the next with the following one,
+    so that events pop in (time, sequence) order as if all four had been
+    queued at the launch. A launch's first stage is due now, so first stages
+    arrive in order and wait in a FIFO; the later stages and the DVM losses
+    wait on a heap, and the next event is the smaller of the two heads.
+
+    A launch is current while its DVM holds it in ``inflight``; the stages
+    of a launch lost with its DVM still pop, doing nothing, so that they end
+    their timestamps as they always have.
+
+    Trace rows are stamped with the virtual time and kept per component
+    until a tracer buffer's worth is ready; the tracer gets them in one call.
     """
 
     def __init__(self, pd: PilotDescription, tracer: Tracer, seed: int = 0,
@@ -68,11 +93,14 @@ class SimAgent(AgentCore):
         self.dvm_failures = list(dvm_failures or [])
         self.dvms = partition_dvms(self.node_list, pd.dvm_max_nodes, pd.latency_model)
         self.selector = DvmSelector(self.dvms)
-        self._heap: list = []
+        self._heap: list = []  # (time, seq, stage, launch), or (time, seq, LOST, DVM id)
+        self._fresh: deque[tuple] = deque()  # (time, seq, 0, launch), due in this order
         self._seq = 0
-        self._attempt: dict[str, int] = {}
         self._retried: set[str] = set()
-        self._pending_retries: list[tuple[Task, int]] = []
+        self._pending_retries: list[tuple] = []  # launches lost at this timestamp
+        self._rows: defaultdict[str, list[tuple]] = defaultdict(list)  # not yet handed over
+        self._rows_max = tracer.buffer_events
+        self._stamped = float("-inf")  # latest timestamp of a kept row
         self.now = 0.0
 
     # backend hooks -------------------------------------------------------
@@ -80,22 +108,47 @@ class SimAgent(AgentCore):
     def _now(self) -> float:
         return self.now
 
+    def _advance(self, task: Task, state: TaskState):
+        advance_task_state(task, state, self.now)
+
     def _emit(self, component: str, name: str, uid: str | None = None,
               detail: str | None = None):
-        self.tracer.emit(component, name, task_uid=uid, detail=detail, timestamp=self.now)
+        now = self.now
+        if now < self._stamped:
+            # The clock went back (a negative teardown): the tracer judges
+            # the event against its component's last one.
+            self._hand_over(component)
+            self.tracer.emit(component, name, task_uid=uid, detail=detail, timestamp=now)
+            return
+        self._stamped = now
+        rows = self._rows[component]
+        rows.append((now, name, uid, detail))
+        if len(rows) >= self._rows_max:
+            self._hand_over(component)
+
+    def _hand_over(self, component: str):
+        rows = self._rows.pop(component, None)
+        if rows:
+            self.tracer.emit_rows(component, rows)
+
+    def _hand_over_all(self):
+        for component in list(self._rows):
+            self._hand_over(component)
 
     def _reject(self, task: Task, reason: str):
         self._emit("scheduler", "schedule_fail", task.uid, reason)
         super()._reject(task, reason)
 
-    def _push(self, t: float, kind: str, data):
-        heapq.heappush(self._heap, (t, self._seq, kind, data))
-        self._seq += 1
-
     # workload entry ------------------------------------------------------
 
     def run(self, tds: list[TaskDescription]) -> dict[str, Task]:
         """Execute the workload to completion; returns tasks by uid."""
+        try:
+            return self._run(tds)
+        finally:
+            self._hand_over_all()
+
+    def _run(self, tds: list[TaskDescription]) -> dict[str, Task]:
         pd = self.pd
         self.now = 0.0
         self._emit("agent", "pilot_start", detail=pd.uid)
@@ -106,29 +159,39 @@ class SimAgent(AgentCore):
             dvm.state = DvmState.READY
             self._emit("executor", "dvm_ready", detail=str(dvm.id))
         self._emit("agent", "agent_ready", detail=pd.uid)
+        heap, fresh = self._heap, self._fresh
         for dvm_id, t in self.dvm_failures:
             if t < pd.bootstrap_s:
                 self._on_dvm_fail(dvm_id)  # lost before it could launch anything
             else:
-                self._push(t, "dvm_fail", dvm_id)
+                heapq.heappush(heap, (t, self._seq, LOST, dvm_id))
+                self._seq += 1
 
         # Everything submitted is pulled at agent readiness.
         for td in tds:
             self._pull(td)
 
         self._rescan()
-        while self._heap:
-            t, _, kind, data = heapq.heappop(self._heap)
+        while heap or fresh:
+            if fresh and (not heap or fresh[0] < heap[0]):
+                t, seq, stage, launch = fresh.popleft()
+            else:
+                t, seq, stage, launch = heapq.heappop(heap)
             assert t >= self.now, f"event at {t} s popped at {self.now} s"
             self.now = t
-            self._handle(kind, data)
-            if not self._heap or self._heap[0][0] > t:
+            if stage == LOST:
+                self._on_dvm_fail(launch)
+            else:
+                if stage < 3:
+                    heapq.heappush(heap, (launch[3][stage + 1], seq + 1, stage + 1, launch))
+                self._step(stage, launch)
+            if (not heap or heap[0][0] > t) and (not fresh or fresh[0][0] > t):
                 # End of this timestamp: simultaneous launcher failures are
                 # all marked before any stranded task is redispatched.
                 if self._pending_retries:
                     retries, self._pending_retries = self._pending_retries, []
-                    for task, exclude in retries:
-                        self._submit_to_dvm(task, first=False, exclude=exclude)
+                    for lost in retries:
+                        self._launch(self.tasks[lost[0]], lost)
                 if self._dirty:
                     self._rescan()
         for task in self.tasks.values():
@@ -141,55 +204,56 @@ class SimAgent(AgentCore):
     # internals -----------------------------------------------------------
 
     def _rescan(self):
+        if not self.scheduler.waiting:
+            self._dirty = False  # nothing to place
+            return
         super()._rescan()
         for td in self.scheduler.newly_waiting:
             self._emit("scheduler", "schedule_wait", uid=td.uid)
 
-    def _launch(self, task: Task):
-        self._submit_to_dvm(task, first=True)
-
-    def _submit_to_dvm(self, task: Task, first: bool, exclude: int | None = None):
+    def _launch(self, task: Task, lost: tuple | None = None):
+        """Launch a placed task; a relaunch (``lost`` is the launch whose
+        DVM was lost) keeps the placement and avoids that DVM."""
         td = task.description
         try:
-            if exclude is not None:
-                dvm = self.selector.select_excluding(exclude)
+            if lost is not None:
+                dvm = self.selector.select_excluding(lost[1])
             else:
                 dvm = self.selector.select(td.tag)
         except NoReadyDvm:
             self._release(task)
             self._end(task, TaskState.FAILED, "no ready DVM")
             return
-        if first:
+        if lost is None:
             self._schedule_ok(task, f"|dvm={dvm.id}")
         lm = dvm.latency_model
         prepare = lm.sample_prepare(self.rng)
         duration = sim_duration(td, self.rng)
         ack = lm.sample_ack(self.rng, len(dvm.inflight))
-        dvm.inflight[td.uid] = None
-        attempt = self._attempt.get(td.uid, 0)
         t0 = self.now
-        self._push(t0, "prepare_start", (td.uid, attempt, dvm.id))
-        self._push(t0 + prepare, "exec_start", (td.uid, attempt, dvm.id))
-        self._push(t0 + prepare + duration, "exec_stop", (td.uid, attempt, dvm.id))
-        self._push(t0 + prepare + duration + ack, "spawn_return", (td.uid, attempt, dvm.id))
+        t1 = t0 + prepare
+        t2 = t1 + duration
+        launch = (td.uid, dvm.id, str(dvm.id), (t0, t1, t2, t2 + ack), self._seq)
+        dvm.inflight[td.uid] = launch
+        self._fresh.append((t0, self._seq, 0, launch))
+        self._seq += len(STAGES)
 
-    def _handle(self, kind: str, data):
-        if kind == "dvm_fail":
-            self._on_dvm_fail(data)
-            return
-        uid, attempt, dvm_id = data
-        if self._attempt.get(uid, 0) != attempt:
-            return  # an event of a launch lost with its DVM
+    def _step(self, stage: int, launch: tuple):
+        """Act on the popped stage of a launch, an index into STAGES."""
+        uid, dvm_id, detail, _, _ = launch
+        inflight = self.dvms[dvm_id].inflight
+        if inflight.get(uid) is not launch:
+            return  # a stage of a launch lost with its DVM
         task = self.tasks[uid]
-        if kind == "exec_start":
+        if stage == 1:
             # A relaunch after a lost DVM finds the task already EXECUTING.
-            if task.state != TaskState.EXECUTING:
-                self._advance(task, TaskState.EXECUTING)
-        elif kind == "spawn_return":
-            del self.dvms[dvm_id].inflight[uid]
-            self._returned(task, True, 0, detail=str(dvm_id))
+            if task.state is not _EXECUTING:
+                self._advance(task, _EXECUTING)
+        elif stage == 3:
+            del inflight[uid]
+            self._returned(task, True, 0, detail=detail)
             return
-        self._emit("executor", kind, uid=uid, detail=str(dvm_id))
+        self._emit("executor", STAGES[stage], uid, detail)
 
     def _on_dvm_fail(self, dvm_id: int):
         dvm = self.dvms[dvm_id]
@@ -197,15 +261,14 @@ class SimAgent(AgentCore):
             return
         dvm.state = DvmState.FAILED
         self._emit("executor", "dvm_failed", detail=str(dvm_id))
-        stranded, dvm.inflight = list(dvm.inflight), {}
-        for uid in stranded:
-            task = self.tasks[uid]
-            self._attempt[uid] = self._attempt.get(uid, 0) + 1
+        stranded, dvm.inflight = dvm.inflight, {}
+        for uid, launch in stranded.items():
             if uid in self._retried:
+                task = self.tasks[uid]
                 self._release(task)
                 self._end(task, TaskState.FAILED, f"DVM {dvm_id} failed twice for task")
                 continue
             self._retried.add(uid)
             # Keep the placement; resubmit the same slots to a surviving DVM
             # once every failure at this instant has been processed.
-            self._pending_retries.append((task, dvm_id))
+            self._pending_retries.append(launch)

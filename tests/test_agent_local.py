@@ -295,6 +295,42 @@ class TestEvents:
         hub.close()
 
 
+class TestDuplicateUid:
+    def test_duplicate_fails_at_pull_and_leaves_the_first(self, local_pilot, tmp_path):
+        pd = local_pilot(cores=4)
+        hub = bus.MessageHub()
+        sub = hub.open("task_state", bus.TOPIC).subscribe()
+        tracer = Tracer(str(tmp_path / "traces"))
+        agent = LocalAgent(pd, hub, tracer, sandbox_root=str(tmp_path / "sandbox"))
+        agent.start()
+        try:
+            assert agent.ready.wait(5.0)
+            first = task("t0", duration=0.3)
+            submit(agent, first)
+            deadline = time.monotonic() + 10.0
+            while "t0" not in agent.tasks and time.monotonic() < deadline:
+                time.sleep(0.01)
+            submit(agent, task("t0", cores=4), task("t1", duration=0.01))
+            tasks = wait_terminal(agent, ["t0", "t1"])
+            assert agent.tasks["t0"].description == first  # not the 4-core duplicate
+            assert tasks["t0"].state == tasks["t1"].state == TaskState.DONE
+            msgs = []
+            deadline = time.monotonic() + 10.0
+            while len(msgs) < 2 and time.monotonic() < deadline:
+                msgs += [bus.unpack_message(raw) for raw in sub.receive(16, timeout_s=0.1)]
+            # The refused duplicate tells no one: t0's subscribers hear DONE only.
+            assert sorted((m["task_uid"], m["state"]) for m in msgs) == [
+                ("t0", "DONE"), ("t1", "DONE")]
+        finally:
+            agent.stop(cancel=True)
+            tracer.close()
+            hub.close()
+        trace = load_session_traces(tracer.directory)
+        failed = trace.by_name("task_failed")
+        assert [e.task_uid for e in failed] == ["t0"]
+        assert "uid already pulled" in failed[0].detail
+
+
 class TestSchedulingPressure:
     def test_more_tasks_than_cores_all_complete(self, agent_env):
         agent, hub, tracer = agent_env

@@ -82,6 +82,20 @@ class TestSubmission:
         assigned = [h.pilot_uid for h in handles]
         assert assigned == ["pA", "pB", "pA", "pB", "pA", "pB"]
 
+    @pytest.mark.parametrize("fabric", ["simulated", "local"])
+    def test_duplicate_task_uid_rejected_in_place(self, session, sim_pilot,
+                                                  local_pilot, fabric):
+        pilot = sim_pilot() if fabric == "simulated" else local_pilot()
+        session.create_pilot_manager().submit_pilot(pilot)
+        tm = session.create_task_manager()
+        out = tm.submit_tasks([task("a", duration=0.05), task("a"), task("b")])
+        assert [type(h).__name__ for h in out] == ["TaskHandle", "ValidationError", "TaskHandle"]
+        assert "already submitted" in str(out[1])
+        again = tm.submit_tasks([task("b"), task("c")])
+        assert isinstance(again[0], ValidationError) and again[1].uid == "c"
+        handles = [out[0], out[2], again[1]]
+        assert tm.wait_tasks(handles, timeout_s=60.0) == ["DONE"] * 3
+
     def test_duplicate_pilot_uid_rejected(self, session, sim_pilot):
         pm = session.create_pilot_manager()
         pm.submit_pilot(sim_pilot(uid="p"))

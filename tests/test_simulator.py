@@ -194,6 +194,20 @@ class TestValidation:
         assert tasks["ok"].state == TaskState.DONE
 
 
+    def test_duplicate_uid_fails_at_pull_and_leaves_the_first(self, sim_pilot, tmp_path):
+        pd = sim_pilot(nodes=1, cores=2)
+        first, second = task("t", duration=1.0), task("t", cores=2, duration=0.5)
+        tasks, trace = run_sim(pd, [first, second, task("u", duration=0.5)], tmp_path)
+        assert tasks["t"].description is first
+        assert {uid: t.state for uid, t in tasks.items()} == {
+            "t": TaskState.DONE, "u": TaskState.DONE}
+        failed = trace.by_name("task_failed")
+        assert [e.task_uid for e in failed] == ["t"]
+        assert "uid already pulled" in failed[0].detail
+        assert [e.task_uid for e in trace.by_name("schedule_ok")] == ["t", "u"]
+        compute_utilization(trace, pd)
+
+
 class TestDeterminism:
     def test_same_seed_identical_traces(self, sim_pilot, tmp_path):
         lm = LatencyModel(prepare_mean_s=0.05, prepare_std_s=0.04,
@@ -276,3 +290,59 @@ class TestGoldenTrace:
         tasks, _ = run_sim(pd, tagged_mix(400, seed=6), tmp_path, seed=6)
         assert all(t.state == TaskState.DONE for t in tasks.values())
         assert trace_sha256(tmp_path / "traces") == self.TAGGED_DIGEST
+
+    # The four cases below were computed before a launch became one heap
+    # entry whose stages are pushed one at a time; the stages must still
+    # pop in the same (time, seq) order, stale ones included.
+    STALE_DIGEST = "129cf4e71314ab077bb1b26dfb51c9d3c29ab4ac096396a555dadceaf1d2f759"
+
+    def test_stale_stages_of_a_lost_launch_set_agent_stop(self, sim_pilot, tmp_path):
+        lm = LatencyModel(prepare_mean_s=0.05, ack_mean_s=0.1)
+        pd = sim_pilot(nodes=2, cores=1, dvm_max=1, lm=lm)
+        tasks, trace = run_sim(pd, [task("t0", duration=10.0)], tmp_path,
+                               dvm_failures=[(0, 0.2), (1, 0.4)])
+        assert tasks["t0"].state == TaskState.FAILED
+        # The retry's spawn_return, stale since 0.4 s, is due at 10.35 s.
+        assert trace.last("agent_stop").ts_us == 10_400_000
+        assert trace_sha256(tmp_path / "traces") == self.STALE_DIGEST
+
+    TIES_DIGEST = "842052734868e80f8834e929429e61a618b8552bcec0b718f1d255d352500720"
+
+    def test_zero_latency_stages_tie_and_order_by_seq(self, sim_pilot, tmp_path):
+        pd = sim_pilot(nodes=4, cores=2, dvm_max=2, bootstrap_s=0.5)
+        rng = random.Random(11)
+        tds = [task(f"t{i:02d}", cores=rng.choice((1, 1, 2)),
+                    duration=rng.choice((0.0, 0.5, 1.0))) for i in range(40)]
+        # Every stage time is a multiple of 0.5 s, so stages of different
+        # launches and the launcher loss share timestamps.
+        tasks, _ = run_sim(pd, tds, tmp_path, seed=11, dvm_failures=[(1, 1.5)])
+        assert all(t.state == TaskState.DONE for t in tasks.values())
+        assert trace_sha256(tmp_path / "traces") == self.TIES_DIGEST
+
+    BOOTSTRAP_LOSS_DIGEST = "ad8648576c948a6cba529bb3d4c92e579e2feeac9ed6134342f69685ea40b0fd"
+
+    def test_dvm_lost_at_bootstrap(self, sim_pilot, tmp_path):
+        lm = LatencyModel(prepare_mean_s=0.037, prepare_std_s=0.01,
+                          ack_mean_s=0.135, ack_std_s=0.107)
+        pd = sim_pilot(nodes=4, cores=4, dvm_max=2, lm=lm)
+        tds = [task(f"t{i:02d}", duration=1.0) for i in range(24)]
+        # Queued before the first launches, the loss pops before their
+        # prepare_start: its tasks are retried before they emit anything.
+        tasks, _ = run_sim(pd, tds, tmp_path, seed=3,
+                           dvm_failures=[(0, pd.bootstrap_s)])
+        assert all(t.state == TaskState.DONE for t in tasks.values())
+        assert trace_sha256(tmp_path / "traces") == self.BOOTSTRAP_LOSS_DIGEST
+
+    ALL_LOST_DIGEST = "c347e28f756ecf4726f02140f618e08bffe20c9fda46828f9d20623ed3cc8ce9"
+
+    def test_all_dvms_lost_with_tasks_waiting(self, sim_pilot, tmp_path):
+        pd = sim_pilot(nodes=2, cores=1, dvm_max=1, lm=LatencyModel(ack_mean_s=0.1))
+        tasks, trace = run_sim(pd, [task(f"t{i}", duration=10.0) for i in range(8)],
+                               tmp_path, dvm_failures=[(0, 0.2), (1, 0.2)])
+        assert all(t.state == TaskState.FAILED for t in tasks.values())
+        # Each stale stage of the two lost launches ends a timestamp, so the
+        # tasks still waiting are tried, and fail, at its time: at 10.1 s
+        # and at 10.2 s.
+        failed = {e.task_uid: e.ts_us for e in trace.by_name("task_failed")}
+        assert [failed[f"t{i}"] for i in range(4, 8)] == [10_100_000] * 2 + [10_200_000] * 2
+        assert trace_sha256(tmp_path / "traces") == self.ALL_LOST_DIGEST

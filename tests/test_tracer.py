@@ -5,11 +5,14 @@ every event, and a disabled tracer writes nothing."""
 import csv
 import json
 import os
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pilotkit.tracer import DEFAULT_BUFFER_EVENTS, NullTracer, Tracer
+from pilotkit.core import Fabric, PilotDescription
+from pilotkit.simulator import SimAgent
+from pilotkit.tracer import DEFAULT_BUFFER_EVENTS, EVENT_REGISTRY, NullTracer, Tracer
 
 
 def read_trace(path):
@@ -160,3 +163,102 @@ def test_custom_clock(tmp_path):
     tr.close()
     rows = read_trace(tmp_path / "a.csv")
     assert [r[0] for r in rows] == ["10.000000", "11.500000"]
+
+
+def simulated_stream(seed, n, components=("agent", "executor", "scheduler")):
+    """``n`` events ``(timestamp, component, name, uid, detail)`` on one
+    clock that mostly moves forward, sometimes stays, and now and then steps
+    back; a few names are not in the registry."""
+    rng = random.Random(seed)
+    names = sorted(EVENT_REGISTRY)
+    t, out = 0.0, []
+    for i in range(n):
+        r = rng.random()
+        if r < 0.02:
+            t = max(0.0, t - rng.uniform(0, 2))
+        elif r < 0.6:
+            t += rng.choice((0.5, rng.uniform(0, 0.01)))
+        name = "made_up_event" if rng.random() < 0.01 else rng.choice(names)
+        out.append((t, rng.choice(components), name,
+                    rng.choice((None, f"t{i}")), rng.choice((None, "", "0", "a,b"))))
+    return out
+
+
+def through_emit(directory, events, **kw):
+    tr = Tracer(directory, **kw)
+    for ts, component, name, uid, detail in events:
+        tr.emit(component, name, task_uid=uid, detail=detail, timestamp=ts)
+    tr.close()
+    return tr
+
+
+def through_simulator(directory, events, **kw):
+    """The simulated fabric's trace path: rows stamped with the agent's
+    virtual time, kept per component and handed over in batches."""
+    tr = Tracer(directory, **kw)
+    agent = SimAgent(PilotDescription(uid="p", fabric=Fabric.SIMULATED), tr)
+    for ts, component, name, uid, detail in events:
+        agent.now = ts
+        agent._emit(component, name, uid, detail)
+    agent._hand_over_all()
+    tr.close()
+    return tr
+
+
+def tree_bytes(directory):
+    return {name: (directory / name).read_bytes() for name in sorted(os.listdir(directory))}
+
+
+class TestSimulatorPath:
+    """The batched path the simulator uses writes what ``emit`` writes."""
+
+    def test_same_files_across_the_flush_boundary(self, tmp_path):
+        events = simulated_stream(seed=1, n=3 * DEFAULT_BUFFER_EVENTS + 3000)
+        # A stamp before its component's last event, and a name not in
+        # the registry.
+        late = next(i for i in range(5000, len(events)) if events[i][1] == "agent")
+        last_agent = max(e[0] for e in events[:late] if e[1] == "agent")
+        events[late] = (last_agent - 1.0,) + events[late][1:]
+        events[late + 1] = events[late + 1][:2] + ("made_up_event",) + events[late + 1][3:]
+        a = through_emit(tmp_path / "a", events)
+        b = through_simulator(tmp_path / "b", events)
+        assert tree_bytes(tmp_path / "a") == tree_bytes(tmp_path / "b")
+        manifest = json.loads((tmp_path / "b" / "manifest.json").read_text())
+        counts = {c["name"]: c["events"] for c in manifest["components"]}
+        assert all(n > DEFAULT_BUFFER_EVENTS for n in counts.values()), counts
+        assert manifest["rejected_events"] == a.rejected == b.rejected > 0
+        assert manifest["unknown_event_names"] == a.unknown_names == b.unknown_names > 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(1, 400), st.integers(1, 40))
+    def test_same_files_for_any_stream_and_buffer(self, seed, n, buffer_events):
+        import pathlib
+        import tempfile
+
+        events = simulated_stream(seed, n)
+        with tempfile.TemporaryDirectory() as d:
+            d = pathlib.Path(d)
+            a = through_emit(d / "a", events, buffer_events=buffer_events)
+            b = through_simulator(d / "b", events, buffer_events=buffer_events)
+            assert tree_bytes(d / "a") == tree_bytes(d / "b")
+        assert (a.rejected, a.unknown_names) == (b.rejected, b.unknown_names)
+
+    def test_rows_before_the_components_last_event_rejected(self, tmp_path):
+        rows = [(float(i), "exec_start", f"t{i}", None) for i in range(10)]
+        a = Tracer(str(tmp_path / "a"))
+        b = Tracer(str(tmp_path / "b"))
+        for tr in (a, b):
+            tr.emit("executor", "exec_stop", "t", timestamp=4.5)
+        for ts, name, uid, detail in rows:
+            a.emit("executor", name, task_uid=uid, detail=detail, timestamp=ts)
+        b.emit_rows("executor", rows)
+        assert a.rejected == b.rejected == 5
+        a.close()
+        b.close()
+        assert tree_bytes(tmp_path / "a") == tree_bytes(tmp_path / "b")
+
+    def test_disabled_tracer_writes_nothing(self, tmp_path):
+        events = simulated_stream(seed=2, n=DEFAULT_BUFFER_EVENTS + 10)
+        tr = through_simulator(tmp_path / "off", events, enabled=False)
+        assert not (tmp_path / "off").exists()
+        assert tr.event_count() == 0
