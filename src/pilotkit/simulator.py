@@ -79,7 +79,9 @@ class SimAgent(AgentCore):
 
     A launch is current while its DVM holds it in ``inflight``; the stages
     of a launch lost with its DVM still pop, doing nothing, so that they end
-    their timestamps as they always have.
+    their timestamps as they always have. A task that fails with a lost
+    launch has that launch's remaining stages emitted at the failure, which
+    closes its exec interval there.
 
     Trace rows are stamped with the virtual time and kept per component
     until a tracer buffer's worth is ready; the tracer gets them in one call.
@@ -97,7 +99,8 @@ class SimAgent(AgentCore):
         self._fresh: deque[tuple] = deque()  # (time, seq, 0, launch), due in this order
         self._seq = 0
         self._retried: set[str] = set()
-        self._pending_retries: list[tuple] = []  # launches lost at this timestamp
+        # (launch, stages it had popped) for the launches lost at this timestamp
+        self._pending_retries: list[tuple[tuple, int]] = []
         self._rows: defaultdict[str, list[tuple]] = defaultdict(list)  # not yet handed over
         self._rows_max = tracer.buffer_events
         self._stamped = float("-inf")  # latest timestamp of a kept row
@@ -174,24 +177,24 @@ class SimAgent(AgentCore):
         self._rescan()
         while heap or fresh:
             if fresh and (not heap or fresh[0] < heap[0]):
-                t, seq, stage, launch = fresh.popleft()
+                t, seq, stage, data = fresh.popleft()
             else:
-                t, seq, stage, launch = heapq.heappop(heap)
+                t, seq, stage, data = heapq.heappop(heap)
             assert t >= self.now, f"event at {t} s popped at {self.now} s"
             self.now = t
             if stage == LOST:
-                self._on_dvm_fail(launch)
+                self._on_dvm_fail(data, seq)
             else:
                 if stage < 3:
-                    heapq.heappush(heap, (launch[3][stage + 1], seq + 1, stage + 1, launch))
-                self._step(stage, launch)
+                    heapq.heappush(heap, (data[3][stage + 1], seq + 1, stage + 1, data))
+                self._step(stage, data)
             if (not heap or heap[0][0] > t) and (not fresh or fresh[0][0] > t):
                 # End of this timestamp: simultaneous launcher failures are
                 # all marked before any stranded task is redispatched.
                 if self._pending_retries:
                     retries, self._pending_retries = self._pending_retries, []
-                    for lost in retries:
-                        self._launch(self.tasks[lost[0]], lost)
+                    for lost, done in retries:
+                        self._launch(self.tasks[lost[0]], lost, done)
                 if self._dirty:
                     self._rescan()
         for task in self.tasks.values():
@@ -211,9 +214,10 @@ class SimAgent(AgentCore):
         for td in self.scheduler.newly_waiting:
             self._emit("scheduler", "schedule_wait", uid=td.uid)
 
-    def _launch(self, task: Task, lost: tuple | None = None):
-        """Launch a placed task; a relaunch (``lost`` is the launch whose
-        DVM was lost) keeps the placement and avoids that DVM."""
+    def _launch(self, task: Task, lost: tuple | None = None, done: int = 0):
+        """Launch a placed task. A relaunch (``lost`` is the launch whose DVM
+        was lost, after ``done`` of its stages had popped) keeps the
+        placement and avoids that DVM."""
         td = task.description
         try:
             if lost is not None:
@@ -221,6 +225,8 @@ class SimAgent(AgentCore):
             else:
                 dvm = self.selector.select(td.tag)
         except NoReadyDvm:
+            if lost is not None:
+                self._close(lost, done)
             self._release(task)
             self._end(task, TaskState.FAILED, "no ready DVM")
             return
@@ -255,15 +261,20 @@ class SimAgent(AgentCore):
             return
         self._emit("executor", STAGES[stage], uid, detail)
 
-    def _on_dvm_fail(self, dvm_id: int):
+    def _on_dvm_fail(self, dvm_id: int, seq: int = -1):
+        """Lose a DVM; ``seq`` orders the loss among the events at its time."""
         dvm = self.dvms[dvm_id]
         if dvm.state != DvmState.READY:
             return
         dvm.state = DvmState.FAILED
         self._emit("executor", "dvm_failed", detail=str(dvm_id))
         stranded, dvm.inflight = dvm.inflight, {}
+        loss = (self.now, seq)
         for uid, launch in stranded.items():
+            times, first = launch[3], launch[4]
+            done = sum(1 for k in range(len(STAGES)) if (times[k], first + k) < loss)
             if uid in self._retried:
+                self._close(launch, done)
                 task = self.tasks[uid]
                 self._release(task)
                 self._end(task, TaskState.FAILED, f"DVM {dvm_id} failed twice for task")
@@ -271,4 +282,12 @@ class SimAgent(AgentCore):
             self._retried.add(uid)
             # Keep the placement; resubmit the same slots to a surviving DVM
             # once every failure at this instant has been processed.
-            self._pending_retries.append(launch)
+            self._pending_retries.append((launch, done))
+
+    def _close(self, launch: tuple, done: int):
+        """Emit now the stages of a lost launch after its first ``done``, so
+        that the task failing with it has a complete timeline: its slots
+        were held until now."""
+        uid, _, detail, _, _ = launch
+        for name in STAGES[done:]:
+            self._emit("executor", name, uid, detail)

@@ -176,6 +176,19 @@ class TestFaultTolerance:
         assert not [e for e in trace.by_name("schedule_ok") if "|dvm=0|" in e.detail]
         compute_utilization(trace, pd)
 
+    @pytest.mark.parametrize("failures", [[(0, 0.2), (1, 0.4)], [(0, 0.2), (1, 0.2)]],
+                             ids=["second_loss", "no_dvm_left"])
+    def test_failed_launch_closes_its_exec_interval(self, sim_pilot, tmp_path, failures):
+        pd = sim_pilot(nodes=2, cores=1, dvm_max=1)
+        tasks, trace = run_sim(pd, [task("t0", duration=10.0)], tmp_path,
+                               dvm_failures=failures)
+        assert tasks["t0"].state == TaskState.FAILED
+        tl = task_timelines(trace)["t0"]
+        fail = trace.by_name("task_failed")[0].ts_us
+        assert tl.complete and tl.exec_stop_us == tl.return_us == fail
+        assert_partition_exact(trace, pd)
+        assert replay_check(trace) == []
+
     def test_all_dvms_lost_drains_waiting(self, sim_pilot, tmp_path):
         pd = sim_pilot(nodes=2, cores=1, dvm_max=1)
         tracer = Tracer(str(tmp_path / "tr"))
@@ -233,6 +246,13 @@ class TestDeterminism:
         assert results[0] != results[1]
 
 
+def assert_partition_exact(trace, pd):
+    """compute_utilization succeeds and its categories sum to cores x span."""
+    report = compute_utilization(trace, pd)
+    span = trace.last("agent_stop").ts_us - trace.first("pilot_start").ts_us
+    assert sum(report.breakdown_us.values()) == report.total_core_us == pd.total_cores * span
+
+
 def hetero_mix(n, seed):
     """1-8 cores, 0-2 GPUs, 10% MPI, 0.5-2 s: the heterogeneous workload."""
     rng = random.Random(seed)
@@ -268,15 +288,19 @@ def trace_sha256(trace_dir):
 class TestGoldenTrace:
     # The simulated trace is a contract: refactoring the agent must leave
     # it byte-identical for a given seed. Change this digest only with a
-    # deliberate change to the simulated model or the trace format.
-    DIGEST = "b49f33e9fe64172d3eb3d6e2ea3bfcf630dd572123c9779efcc6e67fbec08721"
+    # deliberate change to the simulated model or the trace format. Last
+    # changed when a task failing with its lost launch (t009, at 2.2 s) got
+    # that launch's exec_stop and spawn_return.
+    DIGEST = "eb840926a0e48fdb1a336578cd617721ec590b1d5120486915622f3d664f66d1"
 
     def test_hetero_with_two_of_four_dvms_lost(self, sim_pilot, tmp_path):
         lm = LatencyModel(prepare_mean_s=0.037, prepare_std_s=0.01,
                           ack_mean_s=0.135, ack_std_s=0.107, ack_scale_exponent=0.1)
         pd = sim_pilot(nodes=8, cores=16, gpus=2, dvm_max=2, lm=lm)
-        run_sim(pd, hetero_mix(120, seed=4), tmp_path, seed=4,
-                dvm_failures=[(1, 1.0), (2, 2.2)])
+        tasks, trace = run_sim(pd, hetero_mix(120, seed=4), tmp_path, seed=4,
+                               dvm_failures=[(1, 1.0), (2, 2.2)])
+        assert tasks["t009"].state == TaskState.FAILED
+        assert_partition_exact(trace, pd)
         assert trace_sha256(tmp_path / "traces") == self.DIGEST
 
     # Computed before the scheduler gained its free-capacity index and
@@ -291,10 +315,11 @@ class TestGoldenTrace:
         assert all(t.state == TaskState.DONE for t in tasks.values())
         assert trace_sha256(tmp_path / "traces") == self.TAGGED_DIGEST
 
-    # The four cases below were computed before a launch became one heap
-    # entry whose stages are pushed one at a time; the stages must still
-    # pop in the same (time, seq) order, stale ones included.
-    STALE_DIGEST = "129cf4e71314ab077bb1b26dfb51c9d3c29ab4ac096396a555dadceaf1d2f759"
+    # The four cases below were computed before a launch became one queued
+    # entry whose stages are queued one at a time; the stages must still
+    # pop in the same (time, seq) order, stale ones included. STALE_DIGEST
+    # and ALL_LOST_DIGEST changed once since, for the same cause as DIGEST.
+    STALE_DIGEST = "f885fd71d676d21fd8490ab100705be6d04258c46481da58b17e2ba124ea42b9"
 
     def test_stale_stages_of_a_lost_launch_set_agent_stop(self, sim_pilot, tmp_path):
         lm = LatencyModel(prepare_mean_s=0.05, ack_mean_s=0.1)
@@ -333,7 +358,7 @@ class TestGoldenTrace:
         assert all(t.state == TaskState.DONE for t in tasks.values())
         assert trace_sha256(tmp_path / "traces") == self.BOOTSTRAP_LOSS_DIGEST
 
-    ALL_LOST_DIGEST = "c347e28f756ecf4726f02140f618e08bffe20c9fda46828f9d20623ed3cc8ce9"
+    ALL_LOST_DIGEST = "0d28f132a946f9f554ca722376cfff0306220dc615296c645830b31434aef2bb"
 
     def test_all_dvms_lost_with_tasks_waiting(self, sim_pilot, tmp_path):
         pd = sim_pilot(nodes=2, cores=1, dvm_max=1, lm=LatencyModel(ack_mean_s=0.1))
