@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import heapq
 import random
-from collections import defaultdict, deque
+from collections import defaultdict
 
 from .agent import AgentCore
 from .core import (
@@ -68,14 +68,12 @@ class SimAgent(AgentCore):
 
     Placed tasks launch through the pilot's DVMs. A launch is the tuple
     ``(uid, DVM id, DVM id as text, stage times, first sequence number)``
-    and has one queued entry at a time, which pops once per stage
-    (prepare_start, exec_start, exec_stop, spawn_return) at times drawn from
-    the DVM's latency model. A launch takes four consecutive sequence
+    and has one entry at a time on a virtual-clock heap, which pops once per
+    stage (prepare_start, exec_start, exec_stop, spawn_return) at times drawn
+    from the DVM's latency model. A launch takes four consecutive sequence
     numbers, and each popped stage queues the next with the following one,
     so that events pop in (time, sequence) order as if all four had been
-    queued at the launch. A launch's first stage is due now, so first stages
-    arrive in order and wait in a FIFO; the later stages and the DVM losses
-    wait on a heap, and the next event is the smaller of the two heads.
+    queued at the launch.
 
     A launch is current while its DVM holds it in ``inflight``; the stages
     of a launch lost with its DVM still pop, doing nothing, so that they end
@@ -96,14 +94,12 @@ class SimAgent(AgentCore):
         self.dvms = partition_dvms(self.node_list, pd.dvm_max_nodes, pd.latency_model)
         self.selector = DvmSelector(self.dvms)
         self._heap: list = []  # (time, seq, stage, launch), or (time, seq, LOST, DVM id)
-        self._fresh: deque[tuple] = deque()  # (time, seq, 0, launch), due in this order
         self._seq = 0
         self._retried: set[str] = set()
         # (launch, stages it had popped) for the launches lost at this timestamp
         self._pending_retries: list[tuple[tuple, int]] = []
         self._rows: defaultdict[str, list[tuple]] = defaultdict(list)  # not yet handed over
         self._rows_max = tracer.buffer_events
-        self._stamped = float("-inf")  # latest timestamp of a kept row
         self.now = 0.0
 
     # backend hooks -------------------------------------------------------
@@ -116,16 +112,8 @@ class SimAgent(AgentCore):
 
     def _emit(self, component: str, name: str, uid: str | None = None,
               detail: str | None = None):
-        now = self.now
-        if now < self._stamped:
-            # The clock went back (a negative teardown): the tracer judges
-            # the event against its component's last one.
-            self._hand_over(component)
-            self.tracer.emit(component, name, task_uid=uid, detail=detail, timestamp=now)
-            return
-        self._stamped = now
         rows = self._rows[component]
-        rows.append((now, name, uid, detail))
+        rows.append((self.now, name, uid, detail))
         if len(rows) >= self._rows_max:
             self._hand_over(component)
 
@@ -162,7 +150,7 @@ class SimAgent(AgentCore):
             dvm.state = DvmState.READY
             self._emit("executor", "dvm_ready", detail=str(dvm.id))
         self._emit("agent", "agent_ready", detail=pd.uid)
-        heap, fresh = self._heap, self._fresh
+        heap = self._heap
         for dvm_id, t in self.dvm_failures:
             if t < pd.bootstrap_s:
                 self._on_dvm_fail(dvm_id)  # lost before it could launch anything
@@ -175,11 +163,8 @@ class SimAgent(AgentCore):
             self._pull(td)
 
         self._rescan()
-        while heap or fresh:
-            if fresh and (not heap or fresh[0] < heap[0]):
-                t, seq, stage, data = fresh.popleft()
-            else:
-                t, seq, stage, data = heapq.heappop(heap)
+        while heap:
+            t, seq, stage, data = heapq.heappop(heap)
             assert t >= self.now, f"event at {t} s popped at {self.now} s"
             self.now = t
             if stage == LOST:
@@ -188,7 +173,7 @@ class SimAgent(AgentCore):
                 if stage < 3:
                     heapq.heappush(heap, (data[3][stage + 1], seq + 1, stage + 1, data))
                 self._step(stage, data)
-            if (not heap or heap[0][0] > t) and (not fresh or fresh[0][0] > t):
+            if not heap or heap[0][0] > t:
                 # End of this timestamp: simultaneous launcher failures are
                 # all marked before any stranded task is redispatched.
                 if self._pending_retries:
@@ -241,7 +226,7 @@ class SimAgent(AgentCore):
         t2 = t1 + duration
         launch = (td.uid, dvm.id, str(dvm.id), (t0, t1, t2, t2 + ack), self._seq)
         dvm.inflight[td.uid] = launch
-        self._fresh.append((t0, self._seq, 0, launch))
+        heapq.heappush(self._heap, (t0, self._seq, 0, launch))
         self._seq += len(STAGES)
 
     def _step(self, stage: int, launch: tuple):

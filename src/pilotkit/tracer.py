@@ -8,12 +8,10 @@ the session seed and a config snapshot.
 
 from __future__ import annotations
 
-import bisect
 import json
 import os
 import threading
 import time
-from operator import itemgetter
 
 # Documented event-name registry. Unknown names are recorded but counted
 # separately so a typo shows up in the manifest instead of failing a task.
@@ -57,9 +55,6 @@ EVENT_REGISTRY = frozenset(
 DEFAULT_BUFFER_EVENTS = 4096
 LINE_FORMAT = "%.6f,%s,%s,%s,%s"  # timestamp, component, event name, task uid, detail
 
-_stamp = itemgetter(0)
-_name = itemgetter(1)
-
 
 class Tracer:
     """Collects events per component and writes one CSV file per component.
@@ -68,9 +63,9 @@ class Tracer:
     and reported in the manifest. Timestamps passed explicitly must be
     non-decreasing per component; violations are rejected and counted.
 
-    ``emit`` records one event and takes a lock, for threads that share the
-    tracer. ``emit_rows`` records a batch from a single-threaded producer
-    that stamps its own events, with the same format and accounting.
+    ``emit`` records one event and takes the lock, for threads that share
+    the tracer. ``emit_rows`` records a batch of one component's events,
+    with the same format and accounting and one lock for the batch.
     """
 
     def __init__(self, directory: str, enabled: bool = True,
@@ -127,33 +122,33 @@ class Tracer:
 
     def emit_rows(self, component: str, rows: list[tuple]):
         """Record a batch of one component's events, each row a
-        ``(timestamp, event_name, task_uid, detail)`` tuple, in
-        non-decreasing timestamp order. The rows stamped before the
-        component's last event are rejected and counted, as ``emit`` would
-        reject them one by one."""
-        if not self.enabled or self._closed or not rows:
+        ``(timestamp, event_name, task_uid, detail)`` tuple: what ``emit``
+        does with explicit timestamps, row by row, under one lock."""
+        if not self.enabled or self._closed:
             return
         with self._lock:
-            last = self._last_ts.get(component)
-            if last is not None and rows[0][0] < last:
-                late = bisect.bisect_left(rows, last, key=_stamp)
-                self.rejected += late
-                rows = rows[late:]
-                if not rows:
-                    return
-            self._last_ts[component] = rows[-1][0]
-            if not EVENT_REGISTRY.issuperset(map(_name, rows)):
-                self.unknown_names += sum(1 for row in rows if row[1] not in EVENT_REGISTRY)
+            last = self._last_ts.get(component, float("-inf"))
             buf = self._buffers.setdefault(component, [])
             append = buf.append
+            rejected = unknown = 0
             # LINE_FORMAT, with the timestamp formatted once for each run of
             # rows that share its float object.
-            last = stamp = None
+            stamped = stamp = None
             for ts, name, uid, detail in rows:
-                if ts is not last:
-                    last, stamp = ts, "%.6f" % ts
+                if ts < last:
+                    rejected += 1
+                    continue
+                last = ts
+                if name not in EVENT_REGISTRY:
+                    unknown += 1
+                if ts is not stamped:
+                    stamped, stamp = ts, "%.6f" % ts
                 append(f"{stamp},{component},{name},{uid or ''},{detail or ''}")
-            self._counts[component] = self._counts.get(component, 0) + len(rows)
+            self.rejected += rejected
+            self.unknown_names += unknown
+            if len(rows) > rejected:
+                self._last_ts[component] = last
+                self._counts[component] = self._counts.get(component, 0) + len(rows) - rejected
             if len(buf) >= self.buffer_events:
                 self._flush_component(component)
 

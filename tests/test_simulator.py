@@ -315,8 +315,8 @@ class TestGoldenTrace:
         assert all(t.state == TaskState.DONE for t in tasks.values())
         assert trace_sha256(tmp_path / "traces") == self.TAGGED_DIGEST
 
-    # The four cases below were computed before a launch became one queued
-    # entry whose stages are queued one at a time; the stages must still
+    # The four cases below were computed before a launch became one heap
+    # entry whose stages are pushed one at a time; the stages must still
     # pop in the same (time, seq) order, stale ones included. STALE_DIGEST
     # and ALL_LOST_DIGEST changed once since, for the same cause as DIGEST.
     STALE_DIGEST = "f885fd71d676d21fd8490ab100705be6d04258c46481da58b17e2ba124ea42b9"
