@@ -8,9 +8,11 @@ release; and the trace events of each step. Every state change goes through
 
 ``LocalAgent`` launches on this machine: it runs in its own thread,
 executable tasks become child processes and function tasks run callables
-from FUNCTION_REGISTRY on exec threads, and completions come back over a
-bus channel. The simulated fabric's ``SimAgent`` (:mod:`pilotkit.simulator`)
-launches through latency-modeled DVMs on a virtual clock.
+from FUNCTION_REGISTRY on exec threads. Exec threads hand completions back
+through a deque that the agent loop drains, and the agent reports each
+task's end to its owner through a callback. The simulated fabric's
+``SimAgent`` (:mod:`pilotkit.simulator`) launches through latency-modeled
+DVMs on a virtual clock.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ import os
 import shutil
 import threading
 import time
+from collections import deque
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from . import bus
@@ -35,13 +39,7 @@ from .core import (
     build_node_list,
     validate_task_description,
 )
-from .executor import (
-    CompletionRecord,
-    SpawnFailure,
-    build_launch_command,
-    completion_message,
-    spawn_local,
-)
+from .executor import SpawnFailure, build_launch_command, spawn_local
 from .scheduler import Scheduler, SlotMap
 from .tracer import Tracer
 
@@ -222,17 +220,22 @@ class _Running:
 
 
 class LocalAgent(AgentCore):
-    """One pilot's agent on the local machine."""
+    """One pilot's agent on the local machine.
+
+    ``on_end(task)`` is called on the agent thread when a task ends, at
+    times with the agent's ``_lock`` held: it must not wait on the agent.
+    """
 
     def __init__(self, pd: PilotDescription, hub: bus.MessageHub, tracer: Tracer,
-                 sandbox_root: str):
+                 sandbox_root: str, on_end: Callable[[Task], None] | None = None):
         assert pd.fabric == Fabric.LOCAL
         super().__init__(pd, tracer, build_node_list(pd))
         self.hub = hub
         self.sandbox_root = sandbox_root
-        self.in_q = hub.open(f"agent.{pd.uid}.tasks", bus.QUEUE)
-        self.notify = hub.open("task_state", bus.TOPIC)
-        self.completions = bus.Channel(f"agent.{pd.uid}.completions", bus.QUEUE)
+        self.in_q = hub.open(f"agent.{pd.uid}.tasks")
+        self._on_end = on_end
+        # (uid, exit code, error) of finished launches, appended by exec threads
+        self._ended: deque[tuple[str, int, str | None]] = deque()
         self.running: dict[str, _Running] = {}
         self._cancel = threading.Event()
         self._stop_requested = threading.Event()
@@ -256,13 +259,8 @@ class LocalAgent(AgentCore):
             self._thread.join(timeout_s)
 
     def _notify(self, task: Task):
-        self.notify.send([bus.pack_message({
-            "task_uid": task.uid,
-            "state": task.state.value,
-            "exit_code": task.exit_code,
-            "error": task.error,
-            "pilot": self.pd.uid,
-        })])
+        if self._on_end is not None:
+            self._on_end(task)
 
     # main loop -----------------------------------------------------------
 
@@ -275,13 +273,11 @@ class LocalAgent(AgentCore):
             for raw in self.in_q.receive(BULK_SIZE, timeout_s=0.01):
                 self._pull(TaskDescription.from_dict(bus.unpack_message(raw)))
                 progressed = True
-            for raw in self.completions.receive(BULK_SIZE, timeout_s=0.0):
-                msg = bus.unpack_message(raw)
-                uid = msg["task_uid"]
+            while self._ended:
+                uid, exit_code, error = self._ended.popleft()
                 with self._lock:
                     del self.running[uid]
-                self._returned(self.tasks[uid], msg["state"] == "DONE",
-                               msg["exit_code"], msg["error"])
+                self._returned(self.tasks[uid], exit_code == 0, exit_code, error)
                 progressed = True
             if self._dirty:
                 self._rescan()
@@ -362,17 +358,15 @@ class LocalAgent(AgentCore):
     def _execute(self, task: Task, runner: _Running):
         td = task.description
         self._emit("executor", "prepare_start", uid=td.uid)
+        error = None
         try:
             if td.kind == TaskKind.EXECUTABLE:
-                rec = self._run_executable(task, runner)
+                code = self._run_executable(task, runner)
             else:
-                rec = self._run_function(task)
+                code, error = self._run_function(task)
         except SpawnFailure as exc:
-            rec = CompletionRecord(task_uid=td.uid, exit_code=-1,
-                                   start_ts=self.tracer.now(), stop_ts=self.tracer.now(),
-                                   error=str(exc))
-        state = "DONE" if rec.exit_code == 0 else "FAILED"
-        self.completions.send([bus.pack_message(completion_message(rec, state))])
+            code, error = -1, str(exc)
+        self._ended.append((td.uid, code, error))
 
     def _exec_start(self, task: Task):
         """SCHEDULED -> EXECUTING, unless a cancel ended the task first."""
@@ -382,7 +376,7 @@ class LocalAgent(AgentCore):
             self._advance(task, TaskState.EXECUTING)
         self._emit("executor", "exec_start", uid=task.uid)
 
-    def _run_executable(self, task: Task, runner: _Running) -> CompletionRecord:
+    def _run_executable(self, task: Task, runner: _Running) -> int:
         td = task.description
         box = self.sandbox(td.uid)
         cmd = build_launch_command(td, task.placement)
@@ -401,20 +395,17 @@ class LocalAgent(AgentCore):
             return spawn_local(
                 cmd, td.uid, cwd=box,
                 stdout_path=os.path.join(box, "task.out"),
-                stderr_path=os.path.join(box, "task.err"),
-                clock=self.tracer.now, register=register)
+                stderr_path=os.path.join(box, "task.err"), register=register)
         finally:
             self._emit("executor", "exec_stop", uid=td.uid)
 
-    def _run_function(self, task: Task) -> CompletionRecord:
+    def _run_function(self, task: Task) -> tuple[int, str | None]:
         td = task.description
         ctx = FnContext(td, self.hub, self.tracer, self._cancel, self.sandbox(td.uid))
         self._exec_start(task)
-        start = self.tracer.now()
         try:
             code, error = int(FUNCTION_REGISTRY[td.function](ctx) or 0), None
         except Exception as exc:  # function errors become task failures
             code, error = -1, repr(exc)
         self._emit("executor", "exec_stop", uid=td.uid)
-        return CompletionRecord(task_uid=td.uid, exit_code=code, start_ts=start,
-                                stop_ts=self.tracer.now(), error=error)
+        return code, error

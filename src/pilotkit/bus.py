@@ -1,9 +1,8 @@
-"""Message mesh: named in-process queue/topic channels.
+"""Message mesh: named in-process queue channels.
 
-Queue channels deliver each message to exactly one consumer; topic channels
-deliver each message to every subscriber. Ordering is per-producer FIFO.
-Structured payloads are encoded with :func:`pack_message` (canonical JSON,
-sorted keys).
+A channel delivers each message to exactly one consumer. Ordering is
+per-producer FIFO. Structured payloads are encoded with
+:func:`pack_message` (canonical JSON, sorted keys).
 """
 
 from __future__ import annotations
@@ -15,17 +14,10 @@ from collections import deque
 
 from .core import PilotkitError
 
-QUEUE = "queue"
-TOPIC = "topic"
-
 DEFAULT_CAPACITY = 65536
 
 
 class ChannelClosed(PilotkitError):
-    pass
-
-
-class KindMismatch(PilotkitError):
     pass
 
 
@@ -39,7 +31,7 @@ def unpack_message(payload: bytes):
 
 
 class _Endpoint:
-    """One consumer endpoint: a bounded FIFO buffer with blocking receive."""
+    """A channel's buffer: bounded FIFO with blocking receive."""
 
     def __init__(self, capacity: int):
         self.capacity = capacity
@@ -79,79 +71,46 @@ class _Endpoint:
 
 
 class Channel:
-    """In-process channel of one kind, queue or topic."""
+    """In-process queue channel; its consumers share one endpoint."""
 
-    def __init__(self, name: str, kind: str, capacity: int = DEFAULT_CAPACITY):
+    def __init__(self, name: str, capacity: int = DEFAULT_CAPACITY):
         if not name:
             raise ValueError("channel name must be nonempty")
-        if kind not in (QUEUE, TOPIC):
-            raise ValueError(f"bad channel kind {kind!r}")
         self.name = name
-        self.kind = kind
-        self.capacity = capacity
         self.closed = False
-        self._lock = threading.Lock()
-        self._queue_ep = _Endpoint(capacity)  # shared by all queue consumers
-        self._subscribers: list[_Endpoint] = []
+        self._ep = _Endpoint(capacity)
 
     def send(self, payloads: list[bytes]):
         if self.closed:
             raise ChannelClosed(f"channel {self.name!r} closed")
         for payload in payloads:
-            if self.kind == QUEUE:
-                self._queue_ep.put(payload)
-            else:
-                with self._lock:
-                    subs = list(self._subscribers)
-                for ep in subs:
-                    ep.put(payload)
+            self._ep.put(payload)
 
     def receive(self, max_msgs: int = 1, timeout_s: float = 0.0) -> list[bytes]:
         if self.closed:
             raise ChannelClosed(f"channel {self.name!r} closed")
-        if self.kind != QUEUE:
-            raise KindMismatch("receive() on a topic channel requires subscribe()")
-        return self._queue_ep.receive(max_msgs, timeout_s)
-
-    def subscribe(self) -> _Endpoint:
-        if self.closed:
-            raise ChannelClosed(f"channel {self.name!r} closed")
-        if self.kind != TOPIC:
-            raise KindMismatch("subscribe() is only valid on topic channels")
-        ep = _Endpoint(self.capacity)
-        with self._lock:
-            self._subscribers.append(ep)
-        return ep
+        return self._ep.receive(max_msgs, timeout_s)
 
     def pending(self) -> int:
-        return len(self._queue_ep._dq)
+        return len(self._ep._dq)
 
     def close(self):
         self.closed = True
-        self._queue_ep.close()
-        with self._lock:
-            for ep in self._subscribers:
-                ep.close()
+        self._ep.close()
 
 
 class MessageHub:
-    """Registry of named channels; open is idempotent per (name, kind)."""
+    """Registry of named channels; open is idempotent per name."""
 
     def __init__(self):
         self._channels: dict[str, Channel] = {}
         self._lock = threading.Lock()
 
-    def open(self, name: str, kind: str = QUEUE,
-             capacity: int = DEFAULT_CAPACITY) -> Channel:
+    def open(self, name: str, capacity: int = DEFAULT_CAPACITY) -> Channel:
         with self._lock:
-            existing = self._channels.get(name)
-            if existing is not None:
-                if existing.kind != kind:
-                    raise KindMismatch(
-                        f"channel {name!r} already open as {existing.kind}")
-                return existing
-            ch = Channel(name, kind, capacity)
-            self._channels[name] = ch
+            ch = self._channels.get(name)
+            if ch is None:
+                ch = self._channels[name] = Channel(name, capacity)
             return ch
 
     def close(self):

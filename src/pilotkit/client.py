@@ -177,9 +177,6 @@ class Session:
         self.tracer.emit("client", "session_start", detail=uid)
         with open(os.path.join(self.directory, "session.json"), "w") as fh:
             json.dump({"uid": uid, "seed": seed}, fh, indent=2)
-        self._notify_sub = self.hub.open("task_state", bus.TOPIC).subscribe()
-        self._notify_thread = threading.Thread(target=self._notify_loop, daemon=True)
-        self._notify_thread.start()
 
     # managers ------------------------------------------------------------
 
@@ -201,7 +198,8 @@ class Session:
             tracer = Tracer(handle.trace_dir, enabled=self.trace_enabled, clock=self.clock)
             tracer.meta = {"seed": self.seed, "pilot": pd.to_dict()}
             handle.tracer = tracer
-            agent = LocalAgent(pd, self.hub, tracer, sandbox_root=self.directory)
+            agent = LocalAgent(pd, self.hub, tracer, sandbox_root=self.directory,
+                               on_end=lambda task: self._tasks_ended((task,)))
             handle.agent = agent
             agent.start()
             if not agent.ready.wait(10.0):
@@ -220,17 +218,18 @@ class Session:
                 raise ValidationError(f"task {handle.uid!r}: uid already submitted")
             self.handles[handle.uid] = handle
 
-    def _notify_loop(self):
-        while self.state == "open":
-            for raw in self._notify_sub.receive(1024, timeout_s=0.05):
-                msg = bus.unpack_message(raw)
-                with self._cond:
-                    h = self.handles.get(msg["task_uid"])
-                    if h is not None:
-                        h.state = msg["state"]
-                        h.exit_code = msg.get("exit_code")
-                        h.error = msg.get("error")
-                    self._cond.notify_all()
+    def _tasks_ended(self, tasks):
+        """Copy ended tasks' outcomes to their handles and wake waiters.
+        A local agent calls this on its own thread, at times holding its
+        lock, so nothing may wait on an agent while holding ``_cond``."""
+        with self._cond:
+            for task in tasks:
+                h = self.handles.get(task.uid)
+                if h is not None:
+                    h.state = task.state._value_
+                    h.exit_code = task.exit_code
+                    h.error = task.error
+            self._cond.notify_all()
 
     def _run_sim_pilots(self):
         for pilot in self.pilots.values():
@@ -248,14 +247,7 @@ class Session:
             pilot.sim_buffer = []
             pilot.sim_ran = True
             tracer.close()
-            with self._cond:
-                for uid, task in tasks.items():
-                    h = self.handles.get(uid)
-                    if h is not None:
-                        h.state = task.state._value_
-                        h.exit_code = task.exit_code
-                        h.error = task.error
-                self._cond.notify_all()
+            self._tasks_ended(tasks.values())
             pilot.state = PilotHandle.DONE
 
     def _wait(self, handles: list[TaskHandle], timeout_s: float) -> list[str]:

@@ -190,6 +190,10 @@ class PilotDescription:
             raise ValidationError("walltime_s must be positive")
         if self.dvm_max_nodes < 1:
             raise ValidationError("dvm_max_nodes must be >= 1")
+        if self.bootstrap_s < 0:
+            raise ValidationError("bootstrap_s must be >= 0")
+        if self.teardown_s < 0:
+            raise ValidationError("teardown_s must be >= 0")
         if self.fabric == Fabric.LOCAL:
             if self.nodes != 1:
                 raise ValidationError("local fabric requires nodes = 1")

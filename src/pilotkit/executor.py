@@ -9,8 +9,6 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
-import time
-import zlib
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -69,7 +67,7 @@ def partition_dvms(node_list: NodeList, max_nodes_per_dvm: int,
 
 
 class DvmSelector:
-    """Round-robin or tag-based selection over ready DVMs."""
+    """Round-robin selection over ready DVMs."""
 
     def __init__(self, dvms: list[Dvm]):
         self.dvms = dvms
@@ -79,13 +77,10 @@ class DvmSelector:
         ready = DvmState.READY
         return [d for d in self.dvms if d.state == ready]
 
-    def select(self, tag: str | None, policy: str = "round_robin") -> Dvm:
+    def select(self) -> Dvm:
         ready = self.ready()
         if not ready:
             raise NoReadyDvm("no DVM in ready state")
-        if policy == "tagged" and tag is not None:
-            idx = zlib.crc32(tag.encode()) % len(ready)
-            return ready[idx]
         dvm = ready[self._rr % len(ready)]
         self._rr += 1
         return dvm
@@ -125,19 +120,10 @@ def build_launch_command(td: TaskDescription, placement: Placement) -> CommandSp
     )
 
 
-@dataclass
-class CompletionRecord:
-    task_uid: str
-    exit_code: int
-    start_ts: float
-    stop_ts: float
-    error: str | None = None
-
-
 def spawn_local(cmd: CommandSpec, task_uid: str, cwd: str | None = None,
                 stdout_path: str | None = None, stderr_path: str | None = None,
-                clock=None, register=None) -> CompletionRecord:
-    """Run a child process to completion and capture its exit code.
+                register=None) -> int:
+    """Run a child process to completion and return its exit code.
 
     Raises SpawnFailure when the program cannot be started at all, including
     when its stdout/stderr files cannot be opened. The program
@@ -145,7 +131,6 @@ def spawn_local(cmd: CommandSpec, task_uid: str, cwd: str | None = None,
     optional ``register`` callback receives the Popen handle so the caller
     can terminate the child on cancellation.
     """
-    now = clock if clock is not None else time.monotonic
     env = dict(os.environ)
     env.update(dict(cmd.env))
     if cmd.program == EMULATOR_PROGRAM:
@@ -153,7 +138,6 @@ def spawn_local(cmd: CommandSpec, task_uid: str, cwd: str | None = None,
     else:
         argv = [cmd.program, *cmd.args]
     out_fh = err_fh = subprocess.DEVNULL
-    start = now()
     try:
         if stdout_path:
             out_fh = open(stdout_path, "wb")
@@ -168,18 +152,4 @@ def spawn_local(cmd: CommandSpec, task_uid: str, cwd: str | None = None,
                 fh.close()
     if register is not None:
         register(proc)
-    exit_code = proc.wait()
-    stop = now()
-    return CompletionRecord(task_uid=task_uid, exit_code=exit_code, start_ts=start, stop_ts=stop)
-
-
-def completion_message(rec: CompletionRecord, state: str) -> dict:
-    """Structured completion payload for the completions channel."""
-    return {
-        "task_uid": rec.task_uid,
-        "exit_code": rec.exit_code,
-        "state": state,
-        "start_ts": rec.start_ts,
-        "stop_ts": rec.stop_ts,
-        "error": rec.error,
-    }
+    return proc.wait()

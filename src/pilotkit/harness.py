@@ -10,14 +10,12 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import os
 import random
 import statistics
 from dataclasses import dataclass, field
 
 from .analytics import (
-    compute_ttx,
     compute_utilization,
     concurrency_and_rate_series,
     emit_report,
@@ -26,7 +24,7 @@ from .analytics import (
 from .client import Session
 from .core import Fabric, LatencyModel, PilotDescription, TaskDescription
 
-KINDS = ("weak", "strong", "hetero_weak", "hetero_strong", "raptor")
+KINDS = ("weak", "strong", "hetero_weak", "hetero_strong")
 
 SCALE_NOTE = "desk-scale analogue: durations x1e-3, node counts simulated at full count"
 

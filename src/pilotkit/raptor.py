@@ -10,7 +10,6 @@ uid (lost workers get their in-flight calls redispatched once).
 from __future__ import annotations
 
 import ast
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -36,7 +35,6 @@ class _WorkerCrash(Exception):
 class MasterConfig:
     workers_per_master: int = 4
     cores_per_worker: int = 1
-    dispatch_batch: int = 1024
 
     def __post_init__(self):
         if self.workers_per_master < 1:
@@ -125,8 +123,8 @@ def _worker_main(ctx: FnContext):
     muid = ctx.arg("--master")
     wuid = ctx.arg("--worker")
     cores = int(ctx.arg("--cores", "1"))
-    inbox = ctx.hub.open(worker_channel(muid, wuid), bus.QUEUE)
-    to_master = ctx.hub.open(master_in_channel(muid), bus.QUEUE)
+    inbox = ctx.hub.open(worker_channel(muid, wuid))
+    to_master = ctx.hub.open(master_in_channel(muid))
     to_master.send([bus.pack_message({"type": "register", "worker": wuid})])
     pool = ThreadPoolExecutor(max_workers=cores)
     unfinished: list[str] = []
@@ -172,9 +170,8 @@ class _WorkerState:
 def _master_main(ctx: FnContext):
     muid = ctx.arg("--master")
     capacity = int(ctx.arg("--cores-per-worker", "1"))
-    dispatch_batch = int(ctx.arg("--dispatch-batch", "1024"))
-    inbox = ctx.hub.open(master_in_channel(muid), bus.QUEUE)
-    out = ctx.hub.open(master_out_channel(muid), bus.QUEUE)
+    inbox = ctx.hub.open(master_in_channel(muid))
+    out = ctx.hub.open(master_out_channel(muid))
     workers: dict[str, _WorkerState] = {}
     pending: list[dict] = []
     done: set[str] = set()
@@ -229,13 +226,13 @@ def _master_main(ctx: FnContext):
             room = ws.capacity - ws.load
             if room <= 0:
                 break
-            batch = pending[:min(room, dispatch_batch)]
+            batch = pending[:room]
             del pending[:len(batch)]
             for call in batch:
                 ws.outstanding[call["uid"]] = call
                 ctx.tracer.emit("raptor", "call_dispatch", task_uid=call["uid"],
                                 detail=ws.wuid)
-            ctx.hub.open(worker_channel(muid, ws.wuid), bus.QUEUE).send(
+            ctx.hub.open(worker_channel(muid, ws.wuid)).send(
                 [bus.pack_message({"type": "dispatch", "calls": batch})])
             progressed = True
         if closing and not pending and all(w.load == 0 for w in workers.values()):
@@ -243,7 +240,7 @@ def _master_main(ctx: FnContext):
         if not progressed:
             time.sleep(0.0005)
     for ws in workers.values():
-        ctx.hub.open(worker_channel(muid, ws.wuid), bus.QUEUE).send(
+        ctx.hub.open(worker_channel(muid, ws.wuid)).send(
             [bus.pack_message({"type": "stop"})])
     out.send([bus.pack_message({"type": "closed"})])
     return 0
@@ -264,8 +261,8 @@ class MasterHandle:
         self.muid = muid
         self.cfg = cfg
         self.task_handles = []
-        self._in = session.hub.open(master_in_channel(muid), bus.QUEUE)
-        self._out = session.hub.open(master_out_channel(muid), bus.QUEUE)
+        self._in = session.hub.open(master_in_channel(muid))
+        self._out = session.hub.open(master_out_channel(muid))
 
     def submit_calls(self, calls: list[dict], batch: int = 1024):
         for start in range(0, len(calls), batch):
@@ -308,8 +305,7 @@ def launch_master(session, tm, cfg: MasterConfig, muid: str = "master0",
     td = TaskDescription(
         uid=f"{muid}.task", kind=TaskKind.FUNCTION, function="raptor.master",
         arguments=("--master", muid,
-                   "--cores-per-worker", str(cfg.cores_per_worker),
-                   "--dispatch-batch", str(cfg.dispatch_batch)))
+                   "--cores-per-worker", str(cfg.cores_per_worker)))
     handle.task_handles.extend(tm.submit_tasks([td]))
     return handle
 

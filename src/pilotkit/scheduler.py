@@ -43,7 +43,6 @@ class NodeAssignment:
 class Placement:
     task_uid: str
     assignments: tuple[NodeAssignment, ...]
-    dvm_id: int | None = None
 
     @property
     def node_indices(self) -> tuple[int, ...]:
@@ -67,7 +66,7 @@ class Placement:
         return ";".join(parts)
 
     @classmethod
-    def deserialize(cls, task_uid: str, text: str, dvm_id: int | None = None) -> "Placement":
+    def deserialize(cls, task_uid: str, text: str) -> "Placement":
         assignments = []
         for part in text.split(";"):
             node_s, cores_s, gpus_s = part.split(":")
@@ -76,7 +75,7 @@ class Placement:
                 core_indices=tuple(int(i) for i in cores_s.split(",") if i),
                 gpu_indices=tuple(int(i) for i in gpus_s.split(",") if i),
             ))
-        return cls(task_uid=task_uid, assignments=tuple(assignments), dvm_id=dvm_id)
+        return cls(task_uid=task_uid, assignments=tuple(assignments))
 
 
 class SlotMap:
@@ -98,8 +97,6 @@ class SlotMap:
         self.free_gpus = [n.free_gpus for n in nodes]
         self.total_free_cores = sum(self.free_cores)
         self.total_free_gpus = sum(self.free_gpus)
-        self.total_cores = self.total_free_cores
-        self.total_gpus = self.total_free_gpus
         self._core_ids = [[i for i, s in enumerate(n.core_states) if s == FREE] for n in nodes]
         self._gpu_ids = [[i for i, s in enumerate(n.gpu_states) if s == FREE] for n in nodes]
         size = 1

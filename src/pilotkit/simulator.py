@@ -208,7 +208,7 @@ class SimAgent(AgentCore):
             if lost is not None:
                 dvm = self.selector.select_excluding(lost[1])
             else:
-                dvm = self.selector.select(td.tag)
+                dvm = self.selector.select()
         except NoReadyDvm:
             if lost is not None:
                 self._close(lost, done)

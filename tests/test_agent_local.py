@@ -2,6 +2,7 @@
 sandbox isolation, cancellation, and lifecycle event completeness."""
 
 import os
+import sys
 import threading
 import time
 
@@ -34,6 +35,25 @@ def agent_env(local_pilot, tmp_path):
 
 def submit(agent, *tds):
     agent.in_q.send([bus.pack_message(td.to_dict()) for td in tds])
+
+
+class EndLog:
+    """An ``on_end`` callback that records ``(uid, state)`` per task end."""
+
+    def __init__(self):
+        self.ends: list[tuple[str, str]] = []
+        self._cond = threading.Condition()
+
+    def __call__(self, t):
+        with self._cond:
+            self.ends.append((t.uid, t.state.value))
+            self._cond.notify_all()
+
+    def wait(self, count, timeout_s=10.0):
+        """The ends recorded once there are ``count``, or at the timeout."""
+        with self._cond:
+            self._cond.wait_for(lambda: len(self.ends) >= count, timeout_s)
+            return list(self.ends)
 
 
 def wait_terminal(agent, uids, timeout_s=30.0):
@@ -275,21 +295,14 @@ class TestEvents:
     def test_state_notifications_broadcast(self, local_pilot, tmp_path):
         pd = local_pilot()
         hub = bus.MessageHub()
-        sub = hub.open("task_state", bus.TOPIC).subscribe()
+        ends = EndLog()
         tracer = Tracer(str(tmp_path / "traces"))
         agent = LocalAgent(pd, hub, tracer,
-                           sandbox_root=str(tmp_path / "sandbox"))
+                           sandbox_root=str(tmp_path / "sandbox"), on_end=ends)
         agent.start()
         assert agent.ready.wait(5.0)
         submit(agent, task("n0", duration=0.01))
-        msgs = []
-        deadline = time.monotonic() + 10.0
-        while time.monotonic() < deadline:
-            for raw in sub.receive(16, timeout_s=0.2):
-                msgs.append(bus.unpack_message(raw))
-            if any(m["task_uid"] == "n0" and m["state"] == "DONE" for m in msgs):
-                break
-        assert any(m["state"] == "DONE" for m in msgs)
+        assert ends.wait(1) == [("n0", "DONE")]
         agent.stop()
         tracer.close()
         hub.close()
@@ -299,9 +312,10 @@ class TestDuplicateUid:
     def test_duplicate_fails_at_pull_and_leaves_the_first(self, local_pilot, tmp_path):
         pd = local_pilot(cores=4)
         hub = bus.MessageHub()
-        sub = hub.open("task_state", bus.TOPIC).subscribe()
+        ends = EndLog()
         tracer = Tracer(str(tmp_path / "traces"))
-        agent = LocalAgent(pd, hub, tracer, sandbox_root=str(tmp_path / "sandbox"))
+        agent = LocalAgent(pd, hub, tracer, sandbox_root=str(tmp_path / "sandbox"),
+                           on_end=ends)
         agent.start()
         try:
             assert agent.ready.wait(5.0)
@@ -314,13 +328,8 @@ class TestDuplicateUid:
             tasks = wait_terminal(agent, ["t0", "t1"])
             assert agent.tasks["t0"].description == first  # not the 4-core duplicate
             assert tasks["t0"].state == tasks["t1"].state == TaskState.DONE
-            msgs = []
-            deadline = time.monotonic() + 10.0
-            while len(msgs) < 2 and time.monotonic() < deadline:
-                msgs += [bus.unpack_message(raw) for raw in sub.receive(16, timeout_s=0.1)]
-            # The refused duplicate tells no one: t0's subscribers hear DONE only.
-            assert sorted((m["task_uid"], m["state"]) for m in msgs) == [
-                ("t0", "DONE"), ("t1", "DONE")]
+            # The refused duplicate tells no one: t0's owner hears DONE only.
+            assert sorted(ends.wait(2)) == [("t0", "DONE"), ("t1", "DONE")]
         finally:
             agent.stop(cancel=True)
             tracer.close()
@@ -338,3 +347,28 @@ class TestSchedulingPressure:
         submit(agent, *tds)
         tasks = wait_terminal(agent, [td.uid for td in tds], timeout_s=60.0)
         assert all(t.state == TaskState.DONE for t in tasks.values())
+
+    def test_many_exec_threads_each_end_reported_once(self, local_pilot, tmp_path):
+        # Exec threads append completions to a deque the agent thread drains.
+        pd = local_pilot(cores=8)
+        hub = bus.MessageHub()
+        ends = EndLog()
+        tracer = Tracer(str(tmp_path / "traces"))
+        agent = LocalAgent(pd, hub, tracer, sandbox_root=str(tmp_path / "sandbox"),
+                           on_end=ends)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            agent.start()
+            assert agent.ready.wait(5.0)
+            uids = [f"f{i:03d}" for i in range(300)]
+            submit(agent, *(TaskDescription(uid=u, kind=TaskKind.FUNCTION,
+                                            function="noop") for u in uids))
+            got = ends.wait(len(uids), timeout_s=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+            agent.stop(cancel=True)
+            tracer.close()
+            hub.close()
+        assert sorted(got) == [(u, "DONE") for u in uids]
+        assert not agent._thread.is_alive() and not agent.running

@@ -1,5 +1,5 @@
-"""Channel semantics: exactly-once queue delivery, topic broadcast,
-per-producer FIFO, and hub reopen rules."""
+"""Channel semantics: exactly-once queue delivery, per-producer FIFO, and
+hub reopen rules."""
 
 import threading
 
@@ -9,10 +9,7 @@ from hypothesis import given, settings, strategies as st
 from pilotkit.bus import (
     Channel,
     ChannelClosed,
-    KindMismatch,
     MessageHub,
-    QUEUE,
-    TOPIC,
     pack_message,
     unpack_message,
 )
@@ -41,7 +38,7 @@ class TestPackMessage:
 @pytest.mark.parametrize("transport", TRANSPORTS)
 class TestQueue:
     def test_fifo_single_consumer(self, hub, transport):
-        ch = hub.open("q", QUEUE)
+        ch = hub.open("q")
         msgs = [pack_message({"i": i}) for i in range(50)]
         ch.send(msgs)
         got = []
@@ -50,7 +47,7 @@ class TestQueue:
         assert got == msgs
 
     def test_exactly_once_two_consumers(self, hub, transport):
-        ch = hub.open("q", QUEUE)
+        ch = hub.open("q")
         n = 200
         consumers = [ch, ch]  # the queue endpoint is shared
         received = [[], []]
@@ -71,49 +68,19 @@ class TestQueue:
         assert sorted(received[0] + received[1]) == list(range(n))
 
     def test_receive_timeout_returns_empty(self, hub, transport):
-        ch = hub.open("q", QUEUE)
+        ch = hub.open("q")
         assert ch.receive(max_msgs=4, timeout_s=0.05) == []
 
-    def test_subscribe_rejected(self, hub, transport):
-        ch = hub.open("q", QUEUE)
-        with pytest.raises(KindMismatch):
-            ch.subscribe()
-
-
-@pytest.mark.parametrize("transport", TRANSPORTS)
-class TestTopic:
-    def test_broadcast_to_all_subscribers(self, hub, transport):
-        ch = hub.open("t", TOPIC)
-        subs = [ch.subscribe() for _ in range(3)]
-        msgs = [pack_message({"i": i}) for i in range(20)]
-        ch.send(msgs)
-        for sub in subs:
-            got = []
-            while len(got) < 20:
-                batch = sub.receive(max_msgs=20, timeout_s=2.0)
-                assert batch, "broadcast message lost"
-                got.extend(batch)
-            assert got == msgs
-
-    def test_receive_rejected_without_subscribe(self, hub, transport):
-        ch = hub.open("t", TOPIC)
-        with pytest.raises(KindMismatch):
-            ch.receive()
 
 
 class TestHub:
     def test_open_idempotent(self, hub):
-        a = hub.open("x", QUEUE)
-        b = hub.open("x", QUEUE)
+        a = hub.open("x")
+        b = hub.open("x")
         assert a is b
 
-    def test_kind_mismatch_on_reopen(self, hub):
-        hub.open("x", QUEUE)
-        with pytest.raises(KindMismatch):
-            hub.open("x", TOPIC)
-
     def test_closed_channel_raises(self, hub):
-        ch = hub.open("x", QUEUE)
+        ch = hub.open("x")
         hub.close()
         with pytest.raises(ChannelClosed):
             ch.send([b"m"])
@@ -123,7 +90,7 @@ class TestHub:
 @given(st.lists(st.integers(0, 1000), min_size=0, max_size=100),
        st.integers(1, 7))
 def test_inproc_queue_conserves_messages(values, batch):
-    ch = Channel("q", QUEUE)
+    ch = Channel("q")
     ch.send([pack_message(v) for v in values])
     assert ch.pending() == len(values)
     out = []

@@ -3,6 +3,7 @@ multi-pilot round-robin, simulated-pilot determinism."""
 
 import json
 import os
+import threading
 
 import pytest
 
@@ -50,6 +51,16 @@ class TestSessionLifecycle:
         assert a.uid != b.uid
         a.close()
         b.close()
+
+    def test_no_thread_without_a_local_pilot(self, tmp_path, sim_pilot):
+        before = set(threading.enumerate())
+        s = create_session(str(tmp_path / "w"), seed=1)
+        s.create_pilot_manager().submit_pilot(sim_pilot())
+        tm = s.create_task_manager()
+        assert tm.wait_tasks(tm.submit_tasks([task("t0", duration=1.0)])) == ["DONE"]
+        # Threads of earlier tests may end meanwhile; none may begin.
+        assert set(threading.enumerate()) - before == set()
+        s.close()
 
     def test_session_trace_written_on_close(self, tmp_path, sim_pilot):
         s = create_session(str(tmp_path / "w"), uid="s")

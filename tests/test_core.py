@@ -62,6 +62,15 @@ class TestPilotDescription:
         with pytest.raises(ValidationError):
             PilotDescription(uid="p", fabric=Fabric.SIMULATED, nodes=0)
 
+    def test_negative_bootstrap_rejected(self):
+        with pytest.raises(ValidationError, match="bootstrap_s"):
+            PilotDescription(uid="p", fabric=Fabric.SIMULATED, bootstrap_s=-0.1)
+
+    def test_negative_teardown_rejected(self):
+        # A negative teardown would stamp agent_stop before the last task event.
+        with pytest.raises(ValidationError, match="teardown_s"):
+            PilotDescription(uid="p", fabric=Fabric.SIMULATED, teardown_s=-1.0)
+
     def test_profile_round_trip(self, tmp_path, sim_pilot):
         pd = sim_pilot(nodes=3, cores=8, gpus=2)
         path = tmp_path / "profile.json"
