@@ -125,15 +125,23 @@ class AgentCore:
 
     def _reject(self, task: Task, reason: str):
         """Fail a task that never got a placement."""
+        self._emit("scheduler", "schedule_fail", task.uid, reason)
         self._end(task, TaskState.FAILED, reason)
 
     def _rescan(self):
+        """Place and launch what fits; trace the newly queued tasks that
+        must wait."""
         self._dirty = False
-        for td, placement in self.scheduler.rescan():
+        scheduler = self.scheduler
+        if not scheduler.waiting:
+            return
+        for td, placement in scheduler.rescan():
             task = self.tasks[td.uid]
             task.placement = placement
             self._advance(task, TaskState.SCHEDULED)
             self._launch(task)
+        for td in scheduler.newly_waiting:
+            self._emit("scheduler", "schedule_wait", td.uid)
 
     def _schedule_ok(self, task: Task, launcher: str = ""):
         td = task.description
@@ -269,16 +277,13 @@ class LocalAgent(AgentCore):
         self._emit("agent", "agent_ready", detail=self.pd.uid)
         self.ready.set()
         while True:
-            progressed = False
             for raw in self.in_q.receive(BULK_SIZE, timeout_s=0.01):
                 self._pull(TaskDescription.from_dict(bus.unpack_message(raw)))
-                progressed = True
             while self._ended:
                 uid, exit_code, error = self._ended.popleft()
                 with self._lock:
                     del self.running[uid]
                 self._returned(self.tasks[uid], exit_code == 0, exit_code, error)
-                progressed = True
             if self._dirty:
                 self._rescan()
             if self._cancel.is_set():
@@ -288,8 +293,6 @@ class LocalAgent(AgentCore):
                     and self.scheduler.waiting_count() == 0 \
                     and self.in_q.pending() == 0:
                 break
-            if not progressed:
-                time.sleep(0.001)
         self._emit("agent", "agent_stop", detail=self.pd.uid)
         self.tracer.flush()
 

@@ -16,42 +16,11 @@ from dataclasses import dataclass, field
 
 from .core import PilotkitError, PilotDescription
 from .scheduler import Placement
+from .tracer import EVENTS, UNKNOWN_RANK
 
 US = 1_000_000
 
 CATEGORIES = ("pilot_startup", "warmup", "prepare_exec", "exec_cmd", "idle", "drain")
-
-
-# Tie-break for events with identical timestamps: lifecycle order, so a
-# task's schedule_ok sorts before its prepare_start within one instant.
-_EVENT_ORDER = {
-    "session_start": 0,
-    "pilot_start": 1,
-    "dvm_boot": 2,
-    "dvm_ready": 3,
-    "agent_ready": 4,
-    "task_submit": 5,
-    "db_bridge_pull": 10,
-    "stage_in_start": 11,
-    "stage_in_stop": 12,
-    "schedule_wait": 14,
-    "schedule_ok": 15,
-    "call_dispatch": 16,
-    "prepare_start": 20,
-    "exec_start": 21,
-    "exec_stop": 22,
-    "call_result": 23,
-    "stage_out_start": 24,
-    "stage_out_stop": 25,
-    "spawn_return": 30,
-    "task_done": 31,
-    "task_failed": 31,
-    "task_canceled": 31,
-    "dvm_failed": 40,
-    "worker_lost": 41,
-    "agent_stop": 90,
-    "session_close": 99,
-}
 
 
 class ManifestMissing(PilotkitError):
@@ -135,7 +104,7 @@ def load_session_traces(directory: str) -> Trace:
                     corrupt += 1
                     continue
                 events.append(TraceEvent(ts_us, parts[1], parts[2], parts[3], parts[4]))
-    events.sort(key=lambda e: (e.ts_us, _EVENT_ORDER.get(e.name, 50)))
+    events.sort(key=lambda e: (e.ts_us, EVENTS.get(e.name, UNKNOWN_RANK)))
     return Trace(events=events, manifest=manifest, corrupt_lines=corrupt)
 
 

@@ -261,7 +261,7 @@ class Session:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     raise WaitTimeout(pending)
-                self._cond.wait(min(remaining, 0.1))
+                self._cond.wait(remaining)
 
     # shutdown ------------------------------------------------------------
 
@@ -269,10 +269,7 @@ class Session:
         """Finalize pilots, stop the queue service, consolidate traces."""
         if self.state != "open":
             return
-        for pilot in self.pilots.values():
-            if pilot.pd.fabric == Fabric.SIMULATED and pilot.sim_buffer:
-                self._run_sim_pilots()
-                break
+        self._run_sim_pilots()
         for pilot in self.pilots.values():
             if pilot.agent is not None:
                 has_live = any(

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 
@@ -122,10 +122,6 @@ class TaskDescription:
             raise ValidationError(f"task {self.uid!r}: function tasks take no GPUs")
         if self.expected_runtime_s is not None and self.expected_runtime_s < 0:
             raise ValidationError(f"task {self.uid!r}: expected_runtime_s must be >= 0")
-
-    @property
-    def target(self) -> str:
-        return self.function if self.kind == TaskKind.FUNCTION else self.executable
 
     def to_dict(self) -> dict:
         return {
@@ -406,5 +402,4 @@ __all__ = [
     "validate_task_description",
     "Task",
     "advance_task_state",
-    "replace",
 ]

@@ -15,12 +15,7 @@ import random
 import statistics
 from dataclasses import dataclass, field
 
-from .analytics import (
-    compute_utilization,
-    concurrency_and_rate_series,
-    emit_report,
-    load_session_traces,
-)
+from .analytics import compute_utilization, load_session_traces
 from .client import Session
 from .core import Fabric, LatencyModel, PilotDescription, TaskDescription
 
@@ -192,10 +187,3 @@ def write_summary(spec: ExperimentSpec, rows: list[dict], path: str):
                 f"{len(cell_rows) - len(good)} failed",
             ])
 
-
-def analyze_cell(trace_dir: str, pd: PilotDescription, out_dir: str,
-                 bin_width_s: float = 1.0, fmt: str = "csv") -> list[str]:
-    trace = load_session_traces(trace_dir)
-    report = compute_utilization(trace, pd)
-    series = concurrency_and_rate_series(trace, bin_width_s)
-    return emit_report(report, series, out_dir, fmt=fmt)

@@ -23,10 +23,6 @@ class CapacityExceeded(PilotkitError):
     pass
 
 
-class UnknownFunction(PilotkitError):
-    pass
-
-
 class _WorkerCrash(Exception):
     """Raised by the crash builtin to simulate an abrupt worker death."""
 
@@ -88,7 +84,7 @@ def execute_call(call: dict, tracer=None) -> dict:
     uid = call["uid"]
     fn = CALL_REGISTRY.get(call["fn"])
     if tracer is not None:
-        tracer.emit("raptor", "exec_start", task_uid=uid)
+        tracer.emit("raptor", "call_start", task_uid=uid)
     if fn is None:
         result = {"uid": uid, "ok": False, "error": f"unknown function {call['fn']!r}"}
     else:
@@ -99,7 +95,7 @@ def execute_call(call: dict, tracer=None) -> dict:
         except Exception as exc:
             result = {"uid": uid, "ok": False, "error": repr(exc)}
     if tracer is not None:
-        tracer.emit("raptor", "exec_stop", task_uid=uid)
+        tracer.emit("raptor", "call_stop", task_uid=uid)
     return result
 
 
@@ -178,9 +174,7 @@ def _master_main(ctx: FnContext):
     retries: dict[str, int] = {}
     closing = False
     while not ctx.cancel.is_set():
-        progressed = False
         for raw in inbox.receive(1024, timeout_s=0.01):
-            progressed = True
             msg = bus.unpack_message(raw)
             mtype = msg["type"]
             if mtype == "register":
@@ -234,11 +228,8 @@ def _master_main(ctx: FnContext):
                                 detail=ws.wuid)
             ctx.hub.open(worker_channel(muid, ws.wuid)).send(
                 [bus.pack_message({"type": "dispatch", "calls": batch})])
-            progressed = True
         if closing and not pending and all(w.load == 0 for w in workers.values()):
             break
-        if not progressed:
-            time.sleep(0.0005)
     for ws in workers.values():
         ctx.hub.open(worker_channel(muid, ws.wuid)).send(
             [bus.pack_message({"type": "stop"})])

@@ -126,10 +126,6 @@ class SimAgent(AgentCore):
         for component in list(self._rows):
             self._hand_over(component)
 
-    def _reject(self, task: Task, reason: str):
-        self._emit("scheduler", "schedule_fail", task.uid, reason)
-        super()._reject(task, reason)
-
     # workload entry ------------------------------------------------------
 
     def run(self, tds: list[TaskDescription]) -> dict[str, Task]:
@@ -190,14 +186,6 @@ class SimAgent(AgentCore):
         return self.tasks
 
     # internals -----------------------------------------------------------
-
-    def _rescan(self):
-        if not self.scheduler.waiting:
-            self._dirty = False  # nothing to place
-            return
-        super()._rescan()
-        for td in self.scheduler.newly_waiting:
-            self._emit("scheduler", "schedule_wait", uid=td.uid)
 
     def _launch(self, task: Task, lost: tuple | None = None, done: int = 0):
         """Launch a placed task. A relaunch (``lost`` is the launch whose DVM

@@ -13,44 +13,43 @@ import os
 import threading
 import time
 
-# Documented event-name registry. Unknown names are recorded but counted
-# separately so a typo shows up in the manifest instead of failing a task.
-EVENT_REGISTRY = frozenset(
-    {
-        # session / pilot lifecycle
-        "session_start",
-        "session_close",
-        "pilot_start",
-        "agent_ready",
-        "agent_stop",
-        # task flow
-        "task_submit",
-        "db_bridge_pull",
-        "stage_in_start",
-        "stage_in_stop",
-        "stage_out_start",
-        "stage_out_stop",
-        "schedule_ok",
-        "schedule_wait",
-        "schedule_fail",
-        "prepare_start",
-        "exec_start",
-        "exec_stop",
-        "spawn_return",
-        "task_done",
-        "task_failed",
-        "task_canceled",
-        # launchers
-        "dvm_boot",
-        "dvm_ready",
-        "dvm_failed",
-        # master/worker framework
-        "worker_register",
-        "worker_lost",
-        "call_dispatch",
-        "call_result",
-    }
-)
+# The event table: every documented event name, with its rank among events
+# that share a timestamp. Ranks follow the lifecycle, so a task's
+# schedule_ok sorts before its prepare_start within one instant. Unknown
+# names are recorded but counted separately, so a typo shows up in the
+# manifest instead of failing a task; they rank UNKNOWN_RANK.
+UNKNOWN_RANK = 50
+EVENTS = {
+    "session_start": 0,
+    "pilot_start": 1,
+    "dvm_boot": 2,
+    "dvm_ready": 3,
+    "agent_ready": 4,
+    "task_submit": 5,
+    "db_bridge_pull": 10,
+    "stage_in_start": 11,
+    "stage_in_stop": 12,
+    "schedule_wait": 14,
+    "schedule_ok": 15,
+    "call_dispatch": 16,
+    "prepare_start": 20,
+    "exec_start": 21,
+    "call_start": 21,  # master/worker calls have their own exec events
+    "exec_stop": 22,
+    "call_stop": 22,
+    "call_result": 23,
+    "stage_out_start": 24,
+    "stage_out_stop": 25,
+    "spawn_return": 30,
+    "task_done": 31,
+    "task_failed": 31,
+    "task_canceled": 31,
+    "dvm_failed": 40,
+    "worker_lost": 41,
+    "schedule_fail": UNKNOWN_RANK,
+    "agent_stop": 90,
+    "session_close": 99,
+}
 
 DEFAULT_BUFFER_EVENTS = 4096
 LINE_FORMAT = "%.6f,%s,%s,%s,%s"  # timestamp, component, event name, task uid, detail
@@ -110,7 +109,7 @@ class Tracer:
                     self.rejected += 1
                     return
             self._last_ts[component] = timestamp
-            if event_name not in EVENT_REGISTRY:
+            if event_name not in EVENTS:
                 self.unknown_names += 1
             line = LINE_FORMAT % (
                 timestamp, component, event_name, task_uid or "", detail or "")
@@ -139,7 +138,7 @@ class Tracer:
                     rejected += 1
                     continue
                 last = ts
-                if name not in EVENT_REGISTRY:
+                if name not in EVENTS:
                     unknown += 1
                 if ts is not stamped:
                     stamped, stamp = ts, "%.6f" % ts

@@ -5,6 +5,7 @@ import os
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -132,7 +133,7 @@ class TestExecutableTasks:
         boxes = [agent.sandbox(td.uid) for td in tds]
         assert len(set(boxes)) == 3
         for i, box in enumerate(boxes):
-            lines = open(os.path.join(box, "task.out")).read().splitlines()
+            lines = Path(box, "task.out").read_text().splitlines()
             assert lines[0] == f"out{i}"
             assert os.path.realpath(lines[1]) == os.path.realpath(box)
 

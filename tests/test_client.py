@@ -4,6 +4,7 @@ multi-pilot round-robin, simulated-pilot determinism."""
 import json
 import os
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -30,7 +31,7 @@ def session(tmp_path):
 class TestSessionLifecycle:
     def test_workdir_layout(self, session):
         assert os.path.isdir(session.directory)
-        meta = json.loads(open(os.path.join(session.directory, "session.json")).read())
+        meta = json.loads(Path(session.directory, "session.json").read_text())
         assert meta == {"uid": "s", "seed": 1}
 
     def test_unwritable_workdir(self, tmp_path):
@@ -66,7 +67,7 @@ class TestSessionLifecycle:
         s = create_session(str(tmp_path / "w"), uid="s")
         s.close()
         manifest = json.loads(
-            open(os.path.join(s.directory, "traces", "manifest.json")).read())
+            Path(s.directory, "traces", "manifest.json").read_text())
         assert manifest["session"] == "s"
 
 
@@ -156,7 +157,7 @@ class TestSimulatedPilots:
                                        for i in range(20)])
             tm.wait_tasks(handles)
             s.close()
-            return open(os.path.join(pilot.trace_dir, "executor.csv"), "rb").read()
+            return Path(pilot.trace_dir, "executor.csv").read_bytes()
         assert run("a") == run("b")
 
 

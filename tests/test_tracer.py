@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from pilotkit.core import Fabric, PilotDescription
 from pilotkit.simulator import SimAgent
-from pilotkit.tracer import DEFAULT_BUFFER_EVENTS, EVENT_REGISTRY, NullTracer, Tracer
+from pilotkit.tracer import DEFAULT_BUFFER_EVENTS, EVENTS, NullTracer, Tracer
 
 
 def read_trace(path):
@@ -170,7 +170,7 @@ def simulated_stream(seed, n, components=("agent", "executor", "scheduler")):
     clock that mostly moves forward, sometimes stays, and now and then steps
     back; a few names are not in the registry."""
     rng = random.Random(seed)
-    names = sorted(EVENT_REGISTRY)
+    names = sorted(EVENTS)
     t, out = 0.0, []
     for i in range(n):
         r = rng.random()
