@@ -137,8 +137,9 @@ class AgentCore:
             return
         for td, placement in scheduler.rescan():
             task = self.tasks[td.uid]
+            if task.placement is None:  # a stranded task placed again keeps its state
+                self._advance(task, TaskState.SCHEDULED)
             task.placement = placement
-            self._advance(task, TaskState.SCHEDULED)
             self._launch(task)
         for td in scheduler.newly_waiting:
             self._emit("scheduler", "schedule_wait", td.uid)

@@ -254,23 +254,9 @@ def load_pilot_profile(path: str) -> PilotDescription:
         return PilotDescription.from_dict(json.load(fh))
 
 
-FREE = 0
-BUSY = 1
-
-
 @dataclass
 class Node:
     name: str
-    core_states: list[int]
-    gpu_states: list[int]
-
-    @property
-    def free_cores(self) -> int:
-        return self.core_states.count(FREE)
-
-    @property
-    def free_gpus(self) -> int:
-        return self.gpu_states.count(FREE)
 
 
 @dataclass
@@ -284,18 +270,12 @@ class NodeList:
 
 
 def build_node_list(pd: PilotDescription) -> NodeList:
-    """Build an all-free occupancy table for a pilot, one entry per node.
+    """Build a pilot's node list, one entry per node; which slots are free
+    is kept by :class:`pilotkit.scheduler.SlotMap`.
 
     Node names are zero-padded index strings so ordering is deterministic.
     """
-    nodes = [
-        Node(
-            name=f"node{i:05d}",
-            core_states=[FREE] * pd.cores_per_node,
-            gpu_states=[FREE] * pd.gpus_per_node,
-        )
-        for i in range(pd.nodes)
-    ]
+    nodes = [Node(name=f"node{i:05d}") for i in range(pd.nodes)]
     return NodeList(nodes=nodes, cores_per_node=pd.cores_per_node, gpus_per_node=pd.gpus_per_node)
 
 
@@ -394,8 +374,6 @@ __all__ = [
     "TaskDescription",
     "PilotDescription",
     "load_pilot_profile",
-    "FREE",
-    "BUSY",
     "Node",
     "NodeList",
     "build_node_list",

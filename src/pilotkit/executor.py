@@ -27,10 +27,6 @@ class SpawnFailure(PilotkitError):
     pass
 
 
-class NoReadyDvm(PilotkitError):
-    pass
-
-
 class UnsupportedKind(PilotkitError):
     pass
 
@@ -64,34 +60,6 @@ def partition_dvms(node_list: NodeList, max_nodes_per_dvm: int,
         stop = min(start + max_nodes_per_dvm, n)
         dvms.append(Dvm(id=i, node_indices=tuple(range(start, stop)), latency_model=lm))
     return dvms
-
-
-class DvmSelector:
-    """Round-robin selection over ready DVMs."""
-
-    def __init__(self, dvms: list[Dvm]):
-        self.dvms = dvms
-        self._rr = 0
-
-    def ready(self) -> list[Dvm]:
-        ready = DvmState.READY
-        return [d for d in self.dvms if d.state == ready]
-
-    def select(self) -> Dvm:
-        ready = self.ready()
-        if not ready:
-            raise NoReadyDvm("no DVM in ready state")
-        dvm = ready[self._rr % len(ready)]
-        self._rr += 1
-        return dvm
-
-    def select_excluding(self, exclude_id: int) -> Dvm:
-        ready = [d for d in self.ready() if d.id != exclude_id]
-        if not ready:
-            raise NoReadyDvm("no DVM left to retry on")
-        dvm = ready[self._rr % len(ready)]
-        self._rr += 1
-        return dvm
 
 
 @dataclass(frozen=True)

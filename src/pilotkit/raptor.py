@@ -4,7 +4,8 @@ Masters and workers are ordinary function tasks scheduled through the
 agent; coordination runs over dedicated bus channels. The master dispatches
 call batches to the least-loaded worker, keeping at most ``cores_per_worker``
 calls outstanding per worker, and guarantees exactly one result per call
-uid (lost workers get their in-flight calls redispatched once).
+uid (lost workers get their in-flight calls redispatched once; with no
+worker left or starting, the calls the master holds fail).
 """
 
 from __future__ import annotations
@@ -172,6 +173,7 @@ def _master_main(ctx: FnContext):
     pending: list[dict] = []
     done: set[str] = set()
     retries: dict[str, int] = {}
+    starting = 0  # workers announced by launch_workers, not yet registered
     closing = False
     while not ctx.cancel.is_set():
         for raw in inbox.receive(1024, timeout_s=0.01):
@@ -179,6 +181,9 @@ def _master_main(ctx: FnContext):
             mtype = msg["type"]
             if mtype == "register":
                 workers.setdefault(msg["worker"], _WorkerState(msg["worker"], capacity))
+                starting -= 1
+            elif mtype == "workers":
+                starting += msg["count"]
             elif mtype == "calls":
                 pending.extend(msg["calls"])
             elif mtype == "close":
@@ -214,6 +219,13 @@ def _master_main(ctx: FnContext):
                             {"uid": uid, "ok": False, "error": "worker lost twice"}]})])
                     else:
                         pending.append(call)
+                if not workers and starting <= 0:  # nothing left to run what it holds
+                    failed = [{"uid": c["uid"], "ok": False, "error": "no worker left"}
+                              for c in pending if c["uid"] not in done]
+                    done.update(r["uid"] for r in failed)
+                    pending.clear()
+                    if failed:
+                        out.send([bus.pack_message({"type": "results", "results": failed})])
         # dispatch to the least-loaded worker while capacity remains
         while pending and workers:
             ws = min(workers.values(), key=lambda w: (w.load, w.wuid))
@@ -311,6 +323,7 @@ def launch_workers(handle: MasterHandle, n: int | None = None) -> list:
             cores_per_task=handle.cfg.cores_per_worker,
             arguments=("--master", handle.muid, "--worker", wuid,
                        "--cores", str(handle.cfg.cores_per_worker))))
+    handle._in.send([bus.pack_message({"type": "workers", "count": n})])  # before they register
     out = handle.tm.submit_tasks(tds)
     handle.task_handles.extend(out)
     return out

@@ -21,7 +21,7 @@ import heapq
 from collections import deque
 from dataclasses import dataclass
 
-from .core import BUSY, FREE, NodeList, PilotkitError, TaskDescription
+from .core import NodeList, PilotkitError, TaskDescription
 
 
 class UnknownPlacement(PilotkitError):
@@ -85,46 +85,44 @@ class SlotMap:
     The index is a binary max tree over node order: entry ``k`` holds the
     largest free core count and the largest free GPU count of the nodes
     below it, leaf ``size + i`` is node ``i``, and padding leaves hold -1 so
-    that nothing fits there. ``apply`` and ``release`` keep the index, the
-    per-node free counts and the per-node ascending free-slot lists current.
+    that nothing fits there. ``apply``, ``release`` and ``withdraw`` keep
+    the index, the per-node free counts and the per-node ascending free-slot
+    lists current; these are the pilot's only record of free slots.
     """
 
     def __init__(self, node_list: NodeList):
-        nodes = node_list.nodes
+        n = len(node_list.nodes)
         self.node_list = node_list
         self.busy: dict[str, Placement] = {}
-        self.free_cores = [n.free_cores for n in nodes]
-        self.free_gpus = [n.free_gpus for n in nodes]
+        self.free_cores = [node_list.cores_per_node] * n
+        self.free_gpus = [node_list.gpus_per_node] * n
         self.total_free_cores = sum(self.free_cores)
         self.total_free_gpus = sum(self.free_gpus)
-        self._core_ids = [[i for i, s in enumerate(n.core_states) if s == FREE] for n in nodes]
-        self._gpu_ids = [[i for i, s in enumerate(n.gpu_states) if s == FREE] for n in nodes]
+        self._core_ids = [list(range(node_list.cores_per_node)) for _ in range(n)]
+        self._gpu_ids = [list(range(node_list.gpus_per_node)) for _ in range(n)]
         size = 1
-        while size < len(nodes):
+        while size < n:
             size *= 2
         self._size = size
         mc = self._max_cores = [-1] * (2 * size)
         mg = self._max_gpus = [-1] * (2 * size)
-        mc[size:size + len(nodes)] = self.free_cores
-        mg[size:size + len(nodes)] = self.free_gpus
+        mc[size:size + n] = self.free_cores
+        mg[size:size + n] = self.free_gpus
         for k in range(size - 1, 0, -1):
             mc[k] = max(mc[2 * k], mc[2 * k + 1])
             mg[k] = max(mg[2 * k], mg[2 * k + 1])
 
     def apply(self, placement: Placement):
+        """Mark a placement's slots busy; ``list.remove`` raises ValueError
+        for a slot that is not free."""
         if placement.task_uid in self.busy:
             raise PilotkitError(f"task {placement.task_uid!r} already placed")
         for a in placement.assignments:
             i = a.node_index
-            node = self.node_list.nodes[i]
             core_ids, gpu_ids = self._core_ids[i], self._gpu_ids[i]
             for c in a.core_indices:
-                assert node.core_states[c] == FREE
-                node.core_states[c] = BUSY
                 core_ids.remove(c)
             for g in a.gpu_indices:
-                assert node.gpu_states[g] == FREE
-                node.gpu_states[g] = BUSY
                 gpu_ids.remove(g)
             self.free_cores[i] -= len(a.core_indices)
             self.free_gpus[i] -= len(a.gpu_indices)
@@ -138,13 +136,10 @@ class SlotMap:
             raise UnknownPlacement(f"task {placement.task_uid!r} is not busy")
         for a in placement.assignments:
             i = a.node_index
-            node = self.node_list.nodes[i]
             core_ids, gpu_ids = self._core_ids[i], self._gpu_ids[i]
             for c in a.core_indices:
-                node.core_states[c] = FREE
                 bisect.insort(core_ids, c)
             for g in a.gpu_indices:
-                node.gpu_states[g] = FREE
                 bisect.insort(gpu_ids, g)
             self.free_cores[i] += len(a.core_indices)
             self.free_gpus[i] += len(a.gpu_indices)
@@ -152,6 +147,17 @@ class SlotMap:
             self.total_free_gpus += len(a.gpu_indices)
             self._update(i)
         del self.busy[placement.task_uid]
+
+    def withdraw(self, nodes):
+        """Take nodes out of service: nothing is placed on them again.
+        Every placement on them must have been released."""
+        for i in nodes:
+            self.total_free_cores -= self.free_cores[i]
+            self.total_free_gpus -= self.free_gpus[i]
+            self.free_cores[i] = self.free_gpus[i] = 0
+            self._core_ids[i].clear()
+            self._gpu_ids[i].clear()
+            self._update(i)
 
     def busy_slot_count(self) -> int:
         return sum(p.total_cores + p.total_gpus for p in self.busy.values())

@@ -23,7 +23,7 @@ from .core import (
     advance_task_state,
     build_node_list,
 )
-from .executor import DvmSelector, DvmState, NoReadyDvm, partition_dvms
+from .executor import DvmState, partition_dvms
 from .tracer import Tracer
 
 
@@ -66,20 +66,22 @@ _EXECUTING = TaskState.EXECUTING
 class SimAgent(AgentCore):
     """Deterministic single-threaded simulation of one pilot's agent.
 
-    Placed tasks launch through the pilot's DVMs. A launch is the tuple
-    ``(uid, DVM id, DVM id as text, stage times, first sequence number)``
-    and has one entry at a time on a virtual-clock heap, which pops once per
-    stage (prepare_start, exec_start, exec_stop, spawn_return) at times drawn
-    from the DVM's latency model. A launch takes four consecutive sequence
+    A placed task launches through the DVM that owns its first node. A
+    launch is the tuple ``(uid, DVM id, DVM id as text, stage times, first
+    sequence number)`` and has one entry at a time on a virtual-clock heap,
+    which pops once per stage (prepare_start, exec_start, exec_stop,
+    spawn_return) at times drawn from the DVM's latency model. A launch takes four consecutive sequence
     numbers, and each popped stage queues the next with the following one,
     so that events pop in (time, sequence) order as if all four had been
     queued at the launch.
 
-    A launch is current while its DVM holds it in ``inflight``; the stages
-    of a launch lost with its DVM still pop, doing nothing, so that they end
-    their timestamps as they always have. A task that fails with a lost
-    launch has that launch's remaining stages emitted at the failure, which
-    closes its exec interval there.
+    A lost DVM takes its nodes out of service. Every task with a slot on
+    them, an MPI span launched through another DVM included, is stranded:
+    its launch gets the stages it had not reached at the loss, its slots
+    are released, and it goes back to the scheduler to be placed again
+    (or fails, if it was stranded before). A launch is current while its
+    DVM holds it in ``inflight``; a stage of a lost launch is dropped when
+    it pops and leaves the clock where it is.
 
     Trace rows are stamped with the virtual time and kept per component
     until a tracer buffer's worth is ready; the tracer gets them in one call.
@@ -92,12 +94,10 @@ class SimAgent(AgentCore):
         self.rng = random.Random(seed)
         self.dvm_failures = list(dvm_failures or [])
         self.dvms = partition_dvms(self.node_list, pd.dvm_max_nodes, pd.latency_model)
-        self.selector = DvmSelector(self.dvms)
+        self._owner = [dvm for dvm in self.dvms for _ in dvm.node_indices]  # by node
         self._heap: list = []  # (time, seq, stage, launch), or (time, seq, LOST, DVM id)
         self._seq = 0
-        self._retried: set[str] = set()
-        # (launch, stages it had popped) for the launches lost at this timestamp
-        self._pending_retries: list[tuple[tuple, int]] = []
+        self._retried: set[str] = set()  # the tasks stranded once
         self._rows: defaultdict[str, list[tuple]] = defaultdict(list)  # not yet handed over
         self._rows_max = tracer.buffer_events
         self.now = 0.0
@@ -159,25 +159,23 @@ class SimAgent(AgentCore):
             self._pull(td)
 
         self._rescan()
+        dvms = self.dvms
         while heap:
             t, seq, stage, data = heapq.heappop(heap)
             assert t >= self.now, f"event at {t} s popped at {self.now} s"
-            self.now = t
             if stage == LOST:
+                self.now = t
                 self._on_dvm_fail(data, seq)
-            else:
+            elif dvms[data[1]].inflight.get(data[0]) is data:
+                self.now = t
                 if stage < 3:
                     heapq.heappush(heap, (data[3][stage + 1], seq + 1, stage + 1, data))
                 self._step(stage, data)
-            if not heap or heap[0][0] > t:
-                # End of this timestamp: simultaneous launcher failures are
-                # all marked before any stranded task is redispatched.
-                if self._pending_retries:
-                    retries, self._pending_retries = self._pending_retries, []
-                    for lost, done in retries:
-                        self._launch(self.tasks[lost[0]], lost, done)
-                if self._dirty:
-                    self._rescan()
+            # else: a stage of a launch lost with its DVM
+            if (not heap or heap[0][0] > self.now) and self._dirty:
+                # End of this timestamp: every launcher lost at it has
+                # stranded its tasks before they are placed again.
+                self._rescan()
         for task in self.tasks.values():
             if task.state not in TERMINAL_STATES:
                 self._reject(task, "unschedulable at drain")
@@ -187,24 +185,11 @@ class SimAgent(AgentCore):
 
     # internals -----------------------------------------------------------
 
-    def _launch(self, task: Task, lost: tuple | None = None, done: int = 0):
-        """Launch a placed task. A relaunch (``lost`` is the launch whose DVM
-        was lost, after ``done`` of its stages had popped) keeps the
-        placement and avoids that DVM."""
+    def _launch(self, task: Task):
+        """Launch a placed task through the DVM that owns its first node."""
         td = task.description
-        try:
-            if lost is not None:
-                dvm = self.selector.select_excluding(lost[1])
-            else:
-                dvm = self.selector.select()
-        except NoReadyDvm:
-            if lost is not None:
-                self._close(lost, done)
-            self._release(task)
-            self._end(task, TaskState.FAILED, "no ready DVM")
-            return
-        if lost is None:
-            self._schedule_ok(task, f"|dvm={dvm.id}")
+        dvm = self._owner[task.placement.assignments[0].node_index]
+        self._schedule_ok(task, f"|dvm={dvm.id}")
         lm = dvm.latency_model
         prepare = lm.sample_prepare(self.rng)
         duration = sim_duration(td, self.rng)
@@ -218,49 +203,44 @@ class SimAgent(AgentCore):
         self._seq += len(STAGES)
 
     def _step(self, stage: int, launch: tuple):
-        """Act on the popped stage of a launch, an index into STAGES."""
+        """Act on the popped stage of a current launch, an index into STAGES."""
         uid, dvm_id, detail, _, _ = launch
-        inflight = self.dvms[dvm_id].inflight
-        if inflight.get(uid) is not launch:
-            return  # a stage of a launch lost with its DVM
         task = self.tasks[uid]
         if stage == 1:
-            # A relaunch after a lost DVM finds the task already EXECUTING.
+            # A task placed again after a lost DVM may already be EXECUTING.
             if task.state is not _EXECUTING:
                 self._advance(task, _EXECUTING)
         elif stage == 3:
-            del inflight[uid]
+            del self.dvms[dvm_id].inflight[uid]
             self._returned(task, True, 0, detail=detail)
             return
         self._emit("executor", STAGES[stage], uid, detail)
 
     def _on_dvm_fail(self, dvm_id: int, seq: int = -1):
-        """Lose a DVM; ``seq`` orders the loss among the events at its time."""
+        """Lose a DVM and its nodes; ``seq`` orders the loss among the events
+        at its time. The tasks with a slot on those nodes are stranded in
+        placement order, and the nodes are withdrawn."""
         dvm = self.dvms[dvm_id]
         if dvm.state != DvmState.READY:
             return
         dvm.state = DvmState.FAILED
         self._emit("executor", "dvm_failed", detail=str(dvm_id))
-        stranded, dvm.inflight = dvm.inflight, {}
+        lost = set(dvm.node_indices)
+        slot_map = self.scheduler.slot_map
+        stranded = [uid for uid, p in slot_map.busy.items()
+                    if any(a.node_index in lost for a in p.assignments)]
         loss = (self.now, seq)
-        for uid, launch in stranded.items():
+        for uid in stranded:
+            task = self.tasks[uid]
+            launch = self._owner[task.placement.assignments[0].node_index].inflight.pop(uid)
             times, first = launch[3], launch[4]
             done = sum(1 for k in range(len(STAGES)) if (times[k], first + k) < loss)
+            for name in STAGES[done:]:  # its slots were held until now
+                self._emit("executor", name, uid, launch[2])
+            self._release(task)
             if uid in self._retried:
-                self._close(launch, done)
-                task = self.tasks[uid]
-                self._release(task)
                 self._end(task, TaskState.FAILED, f"DVM {dvm_id} failed twice for task")
-                continue
-            self._retried.add(uid)
-            # Keep the placement; resubmit the same slots to a surviving DVM
-            # once every failure at this instant has been processed.
-            self._pending_retries.append((launch, done))
-
-    def _close(self, launch: tuple, done: int):
-        """Emit now the stages of a lost launch after its first ``done``, so
-        that the task failing with it has a complete timeline: its slots
-        were held until now."""
-        uid, _, detail, _, _ = launch
-        for name in STAGES[done:]:
-            self._emit("executor", name, uid, detail)
+            else:
+                self._retried.add(uid)
+                self.scheduler.submit(task.description)
+        slot_map.withdraw(dvm.node_indices)

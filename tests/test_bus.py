@@ -1,5 +1,5 @@
-"""Channel semantics: exactly-once queue delivery, per-producer FIFO, and
-hub reopen rules."""
+"""Channel semantics: exactly-once queue delivery, per-producer FIFO, the
+capacity bound, and hub reopen rules."""
 
 import threading
 
@@ -71,6 +71,44 @@ class TestQueue:
         ch = hub.open("q")
         assert ch.receive(max_msgs=4, timeout_s=0.05) == []
 
+
+
+class TestCapacity:
+    """A full channel blocks its sender until a receive frees room or the
+    channel closes."""
+
+    def blocked_sender(self, ch):
+        sent, errors = threading.Event(), []
+
+        def send():
+            try:
+                ch.send([b"c"])
+                sent.set()
+            except ChannelClosed as exc:
+                errors.append(exc)
+
+        thread = threading.Thread(target=send, daemon=True)
+        thread.start()
+        assert not sent.wait(0.2)  # the third message finds no room
+        return thread, sent, errors
+
+    def test_receive_frees_room_for_a_blocked_sender(self):
+        ch = Channel("q", capacity=2)
+        ch.send([b"a", b"b"])
+        thread, sent, errors = self.blocked_sender(ch)
+        assert ch.receive(max_msgs=1) == [b"a"]
+        thread.join(5.0)
+        assert not thread.is_alive() and sent.is_set() and not errors
+        assert ch.receive(max_msgs=2) == [b"b", b"c"]
+
+    def test_close_unblocks_a_blocked_sender(self):
+        ch = Channel("q", capacity=2)
+        ch.send([b"a", b"b"])
+        thread, sent, errors = self.blocked_sender(ch)
+        ch.close()
+        thread.join(5.0)
+        assert not thread.is_alive() and not sent.is_set()
+        assert len(errors) == 1
 
 
 class TestHub:

@@ -113,13 +113,13 @@ class TestNodeList:
     def test_shape(self, sim_pilot):
         nl = build_node_list(sim_pilot(nodes=2, cores=4, gpus=1))
         assert len(nl) == 2
-        assert sum(n.free_cores for n in nl.nodes) == 8
-        assert sum(n.free_gpus for n in nl.nodes) == 2
+        assert len(nl) * nl.cores_per_node == 8
+        assert len(nl) * nl.gpus_per_node == 2
 
     def test_summit_node_shape(self, sim_pilot):
         nl = build_node_list(sim_pilot(nodes=1, cores=42, gpus=6))
-        assert nl.nodes[0].free_cores == 42
-        assert nl.nodes[0].free_gpus == 6
+        assert nl.cores_per_node == 42
+        assert nl.gpus_per_node == 6
 
     def test_names_stable_and_ordered(self, sim_pilot):
         nl = build_node_list(sim_pilot(nodes=3))
@@ -129,7 +129,7 @@ class TestNodeList:
         pd = sim_pilot(nodes=2, cores=4, gpus=1)
         a, b = build_node_list(pd), build_node_list(pd)
         assert [n.name for n in a.nodes] == [n.name for n in b.nodes]
-        assert [n.core_states for n in a.nodes] == [n.core_states for n in b.nodes]
+        assert (a.cores_per_node, a.gpus_per_node) == (b.cores_per_node, b.gpus_per_node)
 
 
 class TestLifecycle:

@@ -1,4 +1,4 @@
-"""DVM partitioning, selection, launch-command derivation, and local spawn."""
+"""DVM partitioning, launch-command derivation, and local spawn."""
 
 import math
 import sys
@@ -8,10 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from pilotkit.core import Fabric, PilotDescription, TaskKind, build_node_list
 from pilotkit.executor import (
-    Dvm,
-    DvmSelector,
-    DvmState,
-    NoReadyDvm,
     SpawnFailure,
     UnsupportedKind,
     build_launch_command,
@@ -58,40 +54,6 @@ class TestPartition:
     def test_bad_cap(self):
         with pytest.raises(ValueError):
             partition_dvms(nodes(4), 0)
-
-
-class TestSelector:
-    def make(self, n, ready_ids=None):
-        dvms = partition_dvms(nodes(n * 2), 2)
-        for d in dvms:
-            if ready_ids is None or d.id in ready_ids:
-                d.state = DvmState.READY
-        return DvmSelector(dvms)
-
-    def test_round_robin_cycles(self):
-        sel = self.make(4)
-        picks = [sel.select().id for _ in range(8)]
-        assert picks == [0, 1, 2, 3, 0, 1, 2, 3]
-
-    def test_skips_non_ready(self):
-        sel = self.make(4, ready_ids={1, 3})
-        picks = {sel.select().id for _ in range(6)}
-        assert picks == {1, 3}
-
-    def test_no_ready_raises(self):
-        sel = self.make(2, ready_ids=set())
-        with pytest.raises(NoReadyDvm):
-            sel.select()
-
-    def test_select_excluding(self):
-        sel = self.make(3)
-        for _ in range(6):
-            assert sel.select_excluding(1).id != 1
-
-    def test_select_excluding_exhausted(self):
-        sel = self.make(1)
-        with pytest.raises(NoReadyDvm):
-            sel.select_excluding(0)
 
 
 class TestLaunchCommand:

@@ -131,6 +131,44 @@ class TestEndToEnd:
         assert all(by_uid[f"c{i}"]["ok"] for i in range(20))
         handle.close()
 
+    def test_last_worker_lost_fails_held_calls(self, tmp_path, local_pilot):
+        s = create_session(str(tmp_path / "work"), seed=0, uid="s")
+        try:
+            pd = local_pilot(uid="pl", cores=2)
+            s.create_pilot_manager().submit_pilot(pd)
+            tm = s.create_task_manager()
+            cfg = MasterConfig(workers_per_master=1, cores_per_worker=1)
+            handle = launch_master(s, tm, cfg, muid="mlast", pilot_pd=pd)
+            launch_workers(handle)
+            handle.submit_calls([{"uid": "boom", "fn": "crash", "payload": ""},
+                                 {"uid": "c0", "fn": "noop", "payload": ""}])
+            results = handle.results(2, timeout_s=10.0)
+            assert sorted(r["uid"] for r in results) == ["boom", "c0"]
+            assert not any(r["ok"] for r in results)
+            handle.close(timeout_s=10.0)
+        finally:
+            s.close()
+
+    def test_worker_still_starting_keeps_held_calls(self, tmp_path, local_pilot):
+        # Two cores hold the master and one worker, so the second worker
+        # starts only once the first one is lost.
+        s = create_session(str(tmp_path / "work"), seed=0, uid="s")
+        try:
+            pd = local_pilot(uid="pl", cores=2)
+            s.create_pilot_manager().submit_pilot(pd)
+            tm = s.create_task_manager()
+            cfg = MasterConfig(workers_per_master=1, cores_per_worker=1)
+            handle = launch_master(s, tm, cfg, muid="mnext", pilot_pd=pd)
+            launch_workers(handle, 2)
+            handle.submit_calls([{"uid": "boom", "fn": "crash", "payload": ""},
+                                 {"uid": "c0", "fn": "noop", "payload": ""}])
+            results = {r["uid"]: r for r in handle.results(2, timeout_s=10.0)}
+            assert results["c0"]["ok"]
+            assert results["boom"]["error"] == "worker lost twice"
+            handle.close(timeout_s=10.0)
+        finally:
+            s.close()
+
     def test_in_flight_plateau_bounded_by_capacity(self, raptor_session):
         from pilotkit.analytics import concurrency_series, load_session_traces
 

@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pilotkit.core import FREE, Fabric, PilotDescription, PilotkitError, build_node_list
+from pilotkit.core import Fabric, PilotDescription, PilotkitError, build_node_list
 from pilotkit.scheduler import (
     NoFit,
     Placement,
@@ -72,7 +72,11 @@ def oracle_allocate(cores, gpus, mpi, node_states):
 
 
 def snapshot(sm):
-    return [(list(n.core_states), list(n.gpu_states)) for n in sm.node_list.nodes]
+    """0 (free) or 1 (busy) per core and per GPU slot of each node."""
+    nl = sm.node_list
+    return [([int(c not in free_c) for c in range(nl.cores_per_node)],
+             [int(g not in free_g) for g in range(nl.gpus_per_node)])
+            for free_c, free_g in zip(sm._core_ids, sm._gpu_ids)]
 
 
 def placement_as_plan(p):
@@ -170,9 +174,19 @@ class TestRelease:
                              gpus=rng.randint(0, 2)), sm))
                 except NoFit:
                     pass
-            busy = sum(1 for n in sm.node_list.nodes
-                       for s in n.core_states + n.gpu_states if s != FREE)
-            assert busy == sm.busy_slot_count()
+            free = sum(len(ids) for ids in sm._core_ids + sm._gpu_ids)
+            assert free + sm.busy_slot_count() == 3 * (4 + 2)
+
+
+class TestWithdraw:
+    def test_withdrawn_nodes_take_nothing(self, sim_pilot):
+        sm = SlotMap(build_node_list(sim_pilot(nodes=3, cores=4, gpus=1)))
+        sm.withdraw([0, 1])
+        assert (sm.total_free_cores, sm.total_free_gpus) == (4, 1)
+        assert allocate_continuous(task("t", cores=1), sm).node_indices == (2,)
+        assert allocate_continuous(task("m", cores=3, mpi=True), sm).node_indices == (2,)
+        with pytest.raises(NoFit):
+            allocate_continuous(task("u", cores=1), sm)
 
 
 class TestSchedulerLoop:

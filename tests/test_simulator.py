@@ -11,8 +11,10 @@ import pytest
 from pilotkit.analytics import (
     compute_ttx,
     compute_utilization,
+    concurrency_series,
     latency_stats,
     load_session_traces,
+    parse_schedule_detail,
     replay_check,
     task_timelines,
 )
@@ -130,16 +132,16 @@ class TestFaultTolerance:
         assert trace.by_name("dvm_failed")
         assert replay_check(trace) == []
 
-    def test_retry_keeps_placement(self, sim_pilot, tmp_path):
+    def test_stranded_task_is_placed_again_on_a_surviving_node(self, sim_pilot, tmp_path):
         pd = sim_pilot(nodes=2, cores=1, dvm_max=1)
-        tds = [task("t0", duration=1.0)]
-        tracer = Tracer(str(tmp_path / "tr"))
-        agent = SimAgent(pd, tracer, dvm_failures=[(0, 0.5)])
-        tasks = agent.run(tds)
-        tracer.close()
+        tasks, trace = run_sim(pd, [task("t0", duration=1.0)], tmp_path,
+                               dvm_failures=[(0, 0.5)])
         t = tasks["t0"]
         assert t.state == TaskState.DONE
-        assert t.placement.node_indices == (0,)  # same slots after retry
+        assert t.placement.node_indices == (1,)
+        assert [e.detail for e in trace.by_name("schedule_ok")] == [
+            "0:0:|dvm=0|mpi=0", "1:0:|dvm=1|mpi=0"]
+        assert replay_check(trace) == []
 
     def test_second_loss_fails_task(self, sim_pilot, tmp_path):
         pd = sim_pilot(nodes=2, cores=1, dvm_max=1)
@@ -196,6 +198,41 @@ class TestFaultTolerance:
         tasks = agent.run([task(f"t{i}", duration=10.0) for i in range(6)])
         tracer.close()
         assert all(t.state == TaskState.FAILED for t in tasks.values())
+
+
+class TestLauncherModel:
+    """A task launches through the DVM that owns its first node; a lost DVM
+    takes its nodes out of service, and the tasks with a slot on them are
+    placed again elsewhere."""
+
+    def test_fault_gate_launches_through_owners_off_the_lost_nodes(self, sim_pilot, tmp_path):
+        pd = sim_pilot(nodes=64, cores=4, dvm_max=4)  # 16 DVMs of 4 nodes
+        tds = [task(f"t{i:03d}", duration=2.0) for i in range(256)]
+        tasks, trace = run_sim(pd, tds, tmp_path, seed=5,
+                               dvm_failures=[(3, 1.0), (11, 1.0)])
+        for e in trace.by_name("schedule_ok"):
+            placement, dvm_id, _ = parse_schedule_detail(e.detail, e.task_uid)
+            assert dvm_id == placement.assignments[0].node_index // 4, e
+        lost = set(range(12, 16)) | set(range(44, 48))
+        for uid, tl in task_timelines(trace).items():
+            assert lost.isdisjoint(tl.placement.node_indices), uid
+        assert concurrency_series(trace, 0.5).peak() <= pd.total_cores
+        assert sum(t.state == TaskState.DONE for t in tasks.values()) == 256
+        assert replay_check(trace) == []
+
+    def test_span_across_partitions_is_stranded_by_either_owner(self, sim_pilot, tmp_path):
+        pd = sim_pilot(nodes=4, cores=2, dvm_max=2)  # DVM 0: nodes 0-1, DVM 1: 2-3
+        tds = [task("a", cores=2, duration=0.5),
+               task("m", cores=4, mpi=True, duration=2.0)]
+        tasks, trace = run_sim(pd, tds, tmp_path, dvm_failures=[(1, 1.0)])
+        assert [e.detail for e in trace.by_name("schedule_ok") if e.task_uid == "m"] == [
+            "1:0,1:;2:0,1:|dvm=0|mpi=1", "0:0,1:;1:0,1:|dvm=0|mpi=1"]
+        stops = [e.ts_us for e in trace.by_name("exec_stop") if e.task_uid == "m"]
+        assert stops == [1_000_000, 3_000_000]  # the lost launch ends at the loss
+        assert tasks["m"].state == TaskState.DONE
+        assert tasks["m"].placement.node_indices == (0, 1)
+        assert replay_check(trace) == []
+        assert_partition_exact(trace, pd)
 
 
 class TestValidation:
@@ -288,10 +325,11 @@ def trace_sha256(trace_dir):
 class TestGoldenTrace:
     # The simulated trace is a contract: refactoring the agent must leave
     # it byte-identical for a given seed. Change this digest only with a
-    # deliberate change to the simulated model or the trace format. Last
-    # changed when a task failing with its lost launch (t009, at 2.2 s) got
-    # that launch's exec_stop and spawn_return.
-    DIGEST = "eb840926a0e48fdb1a336578cd617721ec590b1d5120486915622f3d664f66d1"
+    # deliberate change to the simulated model or the trace format. Every
+    # digest below last changed when tasks began to launch through the DVM
+    # that owns their first node, and a lost DVM began to withdraw its nodes
+    # and send the tasks stranded on them back to the scheduler.
+    DIGEST = "6323fab651aee1c347851e0d3eac19600f07da5b85c20a72969d21070a78f6a4"
 
     def test_hetero_with_two_of_four_dvms_lost(self, sim_pilot, tmp_path):
         lm = LatencyModel(prepare_mean_s=0.037, prepare_std_s=0.01,
@@ -299,13 +337,16 @@ class TestGoldenTrace:
         pd = sim_pilot(nodes=8, cores=16, gpus=2, dvm_max=2, lm=lm)
         tasks, trace = run_sim(pd, hetero_mix(120, seed=4), tmp_path, seed=4,
                                dvm_failures=[(1, 1.0), (2, 2.2)])
-        assert tasks["t009"].state == TaskState.FAILED
+        # t012 spans nodes 1-2 (DVMs 0 and 1), then nodes 0 and 4 (DVMs 0
+        # and 2), and is stranded by both losses.
+        assert tasks["t012"].state == TaskState.FAILED
         assert_partition_exact(trace, pd)
         assert trace_sha256(tmp_path / "traces") == self.DIGEST
 
-    # Computed before the scheduler gained its free-capacity index and
-    # shape buckets; those must not move a placement.
-    TAGGED_DIGEST = "a9069574d46e4736d924d7292376fa1ecabeb5725907e9d60dd92c51b12c2e73"
+    # The scheduler's free-capacity index and shape buckets were checked
+    # against this case; they must not move a placement. No DVM is lost,
+    # but each DVM's ack latency grows with its own in-flight count.
+    TAGGED_DIGEST = "1903e9b2cc379ec434d478410f1cfe44a8ae37b86acd4cd7d0ad66551d323be0"
 
     def test_tagged_mix_on_37_nodes(self, sim_pilot, tmp_path):
         lm = LatencyModel(prepare_mean_s=0.037, prepare_std_s=0.01,
@@ -315,11 +356,9 @@ class TestGoldenTrace:
         assert all(t.state == TaskState.DONE for t in tasks.values())
         assert trace_sha256(tmp_path / "traces") == self.TAGGED_DIGEST
 
-    # The four cases below were computed before a launch became one heap
-    # entry whose stages are pushed one at a time; the stages must still
-    # pop in the same (time, seq) order, stale ones included. STALE_DIGEST
-    # and ALL_LOST_DIGEST changed once since, for the same cause as DIGEST.
-    STALE_DIGEST = "f885fd71d676d21fd8490ab100705be6d04258c46481da58b17e2ba124ea42b9"
+    # The four cases below check that stages pop in (time, seq) order and
+    # that the stages of a lost launch are emitted at the loss.
+    STALE_DIGEST = "3fa58a20c706b615bd4626945ec432dcd2e319d0358a7c500caa037a85aa1449"
 
     def test_stale_stages_of_a_lost_launch_set_agent_stop(self, sim_pilot, tmp_path):
         lm = LatencyModel(prepare_mean_s=0.05, ack_mean_s=0.1)
@@ -327,11 +366,12 @@ class TestGoldenTrace:
         tasks, trace = run_sim(pd, [task("t0", duration=10.0)], tmp_path,
                                dvm_failures=[(0, 0.2), (1, 0.4)])
         assert tasks["t0"].state == TaskState.FAILED
-        # The retry's spawn_return, stale since 0.4 s, is due at 10.35 s.
-        assert trace.last("agent_stop").ts_us == 10_400_000
+        # The stages of both lost launches are dropped: the pilot drains at
+        # the second loss, 0.4 s, and tears down for 0.05 s.
+        assert trace.last("agent_stop").ts_us == 450_000
         assert trace_sha256(tmp_path / "traces") == self.STALE_DIGEST
 
-    TIES_DIGEST = "842052734868e80f8834e929429e61a618b8552bcec0b718f1d255d352500720"
+    TIES_DIGEST = "39e5891aca1744564f68e9617efe2929aba91e6ffe4de78ef2655139f256f5f3"
 
     def test_zero_latency_stages_tie_and_order_by_seq(self, sim_pilot, tmp_path):
         pd = sim_pilot(nodes=4, cores=2, dvm_max=2, bootstrap_s=0.5)
@@ -344,7 +384,7 @@ class TestGoldenTrace:
         assert all(t.state == TaskState.DONE for t in tasks.values())
         assert trace_sha256(tmp_path / "traces") == self.TIES_DIGEST
 
-    BOOTSTRAP_LOSS_DIGEST = "ad8648576c948a6cba529bb3d4c92e579e2feeac9ed6134342f69685ea40b0fd"
+    BOOTSTRAP_LOSS_DIGEST = "5b1aeef14260459d333bb2f7a8ef919fd6ca77066dd1d31800c86872d911372c"
 
     def test_dvm_lost_at_bootstrap(self, sim_pilot, tmp_path):
         lm = LatencyModel(prepare_mean_s=0.037, prepare_std_s=0.01,
@@ -352,22 +392,23 @@ class TestGoldenTrace:
         pd = sim_pilot(nodes=4, cores=4, dvm_max=2, lm=lm)
         tds = [task(f"t{i:02d}", duration=1.0) for i in range(24)]
         # Queued before the first launches, the loss pops before their
-        # prepare_start: its tasks are retried before they emit anything.
+        # prepare_start: the tasks on DVM 0's nodes get all four stages at
+        # the loss and are placed again on DVM 1's.
         tasks, _ = run_sim(pd, tds, tmp_path, seed=3,
                            dvm_failures=[(0, pd.bootstrap_s)])
         assert all(t.state == TaskState.DONE for t in tasks.values())
         assert trace_sha256(tmp_path / "traces") == self.BOOTSTRAP_LOSS_DIGEST
 
-    ALL_LOST_DIGEST = "0d28f132a946f9f554ca722376cfff0306220dc615296c645830b31434aef2bb"
+    ALL_LOST_DIGEST = "3495ba38ea214aeda66cebe46bce8e136e8c40d2f03c226dc03f2d9b93e4f2c8"
 
     def test_all_dvms_lost_with_tasks_waiting(self, sim_pilot, tmp_path):
         pd = sim_pilot(nodes=2, cores=1, dvm_max=1, lm=LatencyModel(ack_mean_s=0.1))
         tasks, trace = run_sim(pd, [task(f"t{i}", duration=10.0) for i in range(8)],
                                tmp_path, dvm_failures=[(0, 0.2), (1, 0.2)])
         assert all(t.state == TaskState.FAILED for t in tasks.values())
-        # Each stale stage of the two lost launches ends a timestamp, so the
-        # tasks still waiting are tried, and fail, at its time: at 10.1 s
-        # and at 10.2 s.
-        failed = {e.task_uid: e.ts_us for e in trace.by_name("task_failed")}
-        assert [failed[f"t{i}"] for i in range(4, 8)] == [10_100_000] * 2 + [10_200_000] * 2
+        # With both partitions withdrawn nothing fits, so the tasks still
+        # waiting fail at the drain, at the loss.
+        failed = {e.task_uid: (e.ts_us, e.detail) for e in trace.by_name("task_failed")}
+        assert [failed[f"t{i}"] for i in range(4, 8)] == [
+            (200_000, "unschedulable at drain")] * 4
         assert trace_sha256(tmp_path / "traces") == self.ALL_LOST_DIGEST
