@@ -1,9 +1,11 @@
 """Post-mortem trace analytics: TTX, utilization breakdown, time series.
 
-All accounting runs on integer microseconds so the per-slot utilization
-partition sums to the available core-time with zero residual. GPU slots are
-tracked for placement correctness but excluded from the core-time
-denominator.
+A trace is read once into per-launch records (:attr:`Trace.attempts`), one
+per ``schedule_ok``; utilization, TTX, replay and the latency means read
+those. All accounting runs on integer microseconds so the per-slot
+utilization partition sums to the available core-time with zero residual.
+GPU slots are tracked for placement correctness but excluded from the
+core-time denominator.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 from .core import PilotkitError, PilotDescription
 from .scheduler import Placement
@@ -20,7 +24,8 @@ from .tracer import EVENTS, UNKNOWN_RANK
 
 US = 1_000_000
 
-CATEGORIES = ("pilot_startup", "warmup", "prepare_exec", "exec_cmd", "idle", "drain")
+CATEGORIES = ("pilot_startup", "warmup", "prepare_exec", "exec_cmd", "idle", "drain",
+              "lost")
 
 
 class ManifestMissing(PilotkitError):
@@ -39,8 +44,7 @@ class UnwritableOutput(PilotkitError):
     pass
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     ts_us: int
     component: str
     name: str
@@ -50,6 +54,33 @@ class TraceEvent:
     @property
     def ts(self) -> float:
         return self.ts_us / US
+
+
+@dataclass(slots=True)
+class Attempt:
+    """One launch of a task: its ``schedule_ok`` and the stages after it.
+    ``end_us`` is the launch's ``spawn_return`` or, for a launch lost with
+    its DVM, its ``launch_lost``; ``returned`` tells which."""
+    uid: str
+    placement: Placement
+    uses_mpi: bool
+    sched_us: int
+    prep_us: int | None = None
+    exec_start_us: int | None = None
+    exec_stop_us: int | None = None
+    end_us: int | None = None
+    returned: bool = False
+
+    @property
+    def complete(self) -> bool:
+        return None not in (self.prep_us, self.exec_start_us,
+                            self.exec_stop_us, self.end_us)
+
+
+# The stage events of a launch, each with the Attempt field it stamps.
+_LAUNCH_STAGES = {"prepare_start": "prep_us", "exec_start": "exec_start_us",
+                  "exec_stop": "exec_stop_us", "spawn_return": "end_us",
+                  "launch_lost": "end_us"}
 
 
 @dataclass
@@ -68,10 +99,34 @@ class Trace:
         return None
 
     def last(self, name: str) -> TraceEvent | None:
-        out = None
-        for e in self.events:
+        for e in reversed(self.events):
             if e.name == name:
-                out = e
+                return e
+        return None
+
+    @cached_property
+    def attempts(self) -> list[Attempt]:
+        """Every launch, in ``schedule_ok`` order, from one pass over the
+        events. A stage event goes to the earliest launch of its task that
+        lacks that stage: at one instant, the last stages of a launch lost
+        with its DVM sort after the ``schedule_ok`` and first stages of the
+        task's next launch."""
+        out: list[Attempt] = []
+        by_uid: dict[str, list[Attempt]] = {}
+        for ts, _, name, uid, detail in self.events:
+            if name == "schedule_ok":
+                placement, _, mpi = parse_schedule_detail(detail, uid)
+                a = Attempt(uid, placement, mpi, ts)
+                out.append(a)
+                by_uid.setdefault(uid, []).append(a)
+            elif name in _LAUNCH_STAGES and uid in by_uid:
+                stamp = _LAUNCH_STAGES[name]
+                for a in by_uid[uid]:
+                    if getattr(a, stamp) is None:
+                        setattr(a, stamp, ts)
+                        if stamp == "end_us":
+                            a.returned = name == "spawn_return"
+                        break
         return out
 
 
@@ -90,7 +145,7 @@ def load_session_traces(directory: str) -> Trace:
         if not os.path.exists(path):
             continue
         with open(path) as fh:
-            for lineno, line in enumerate(fh, 1):
+            for line in fh:
                 line = line.rstrip("\n")
                 if not line:
                     continue
@@ -99,22 +154,23 @@ def load_session_traces(directory: str) -> Trace:
                     corrupt += 1
                     continue
                 try:
-                    ts_us = round(float(parts[0]) * US) + offset_us
+                    parts[0] = round(float(parts[0]) * US) + offset_us
                 except ValueError:
                     corrupt += 1
                     continue
-                events.append(TraceEvent(ts_us, parts[1], parts[2], parts[3], parts[4]))
+                events.append(TraceEvent._make(parts))
     events.sort(key=lambda e: (e.ts_us, EVENTS.get(e.name, UNKNOWN_RANK)))
     return Trace(events=events, manifest=manifest, corrupt_lines=corrupt)
 
 
 def compute_ttx(trace: Trace) -> float:
-    """Workload time-to-execution: first task pull to last completion ack."""
+    """Workload time-to-execution: first task pull to the last launch end,
+    returned or lost."""
     first_pull = trace.first("db_bridge_pull")
-    last_ret = trace.last("spawn_return")
-    if first_pull is None or last_ret is None:
+    ends = [a.end_us for a in trace.attempts if a.end_us is not None]
+    if first_pull is None or not ends:
         raise NoTasks("trace has no completed tasks")
-    return (last_ret.ts_us - first_pull.ts_us) / US
+    return (max(ends) - first_pull.ts_us) / US
 
 
 def parse_schedule_detail(detail: str, uid: str) -> tuple[Placement, int | None, bool]:
@@ -132,47 +188,6 @@ def parse_schedule_detail(detail: str, uid: str) -> tuple[Placement, int | None,
 
 
 @dataclass
-class TaskTimeline:
-    uid: str
-    placement: Placement
-    uses_mpi: bool
-    sched_us: int
-    prep_us: int | None = None
-    last_prep_us: int | None = None
-    exec_start_us: int | None = None
-    exec_stop_us: int | None = None
-    return_us: int | None = None
-
-    @property
-    def complete(self) -> bool:
-        return None not in (self.prep_us, self.exec_start_us,
-                            self.exec_stop_us, self.return_us)
-
-
-def task_timelines(trace: Trace) -> dict[str, TaskTimeline]:
-    """Collect per-task lifecycle timelines (last attempt wins for retries)."""
-    out: dict[str, TaskTimeline] = {}
-    for e in trace.events:
-        if e.name == "schedule_ok":
-            placement, _, mpi = parse_schedule_detail(e.detail, e.task_uid)
-            out[e.task_uid] = TaskTimeline(
-                uid=e.task_uid, placement=placement, uses_mpi=mpi, sched_us=e.ts_us)
-        elif e.task_uid in out:
-            tl = out[e.task_uid]
-            if e.name == "prepare_start":
-                if tl.prep_us is None:
-                    tl.prep_us = e.ts_us
-                tl.last_prep_us = e.ts_us
-            elif e.name == "exec_start":
-                tl.exec_start_us = e.ts_us
-            elif e.name == "exec_stop":
-                tl.exec_stop_us = e.ts_us
-            elif e.name == "spawn_return":
-                tl.return_us = e.ts_us
-    return out
-
-
-@dataclass
 class UtilizationReport:
     ttx_s: float
     total_core_s: float
@@ -187,13 +202,15 @@ class UtilizationReport:
 
 
 def compute_utilization(trace: Trace, pd: PilotDescription) -> UtilizationReport:
-    """Partition every core slot's timeline into the six categories.
+    """Partition every core slot's timeline into the seven categories.
 
     pilot_startup: pilot_start -> agent_ready; warmup: agent_ready -> the
-    slot's first prepare_start; prepare_exec: prepare_start -> exec_start;
-    exec_cmd: exec_start -> exec_stop; drain: completion acknowledgment
-    (exec_stop -> spawn_return) plus post-workload teardown; idle: the rest.
-    The partition is exact in integer microseconds.
+    slot's first prepare_start; for a launch that returned, prepare_exec:
+    prepare_start -> exec_start, exec_cmd: exec_start -> exec_stop, and
+    drain: completion acknowledgment (exec_stop -> spawn_return); lost: a
+    launch lost with its DVM, prepare_start -> launch_lost; drain also
+    takes the post-workload teardown; idle: the rest. The partition is
+    exact in integer microseconds.
     """
     start = trace.first("pilot_start")
     ready = trace.first("agent_ready")
@@ -202,22 +219,22 @@ def compute_utilization(trace: Trace, pd: PilotDescription) -> UtilizationReport
         raise IncompleteTrace("missing pilot_start/agent_ready/agent_stop events")
     P, R, S = start.ts_us, ready.ts_us, stop.ts_us
 
-    timelines = task_timelines(trace)
-    incomplete = [uid for uid, tl in timelines.items() if not tl.complete]
+    attempts = trace.attempts
+    incomplete = {a.uid for a in attempts if not a.complete}
     if incomplete:
         raise IncompleteTrace(f"tasks missing lifecycle events: {sorted(incomplete)[:10]}")
 
-    returns = [tl.return_us for tl in timelines.values()]
-    G = max(returns) if returns else R
+    G = max((a.end_us for a in attempts), default=R)
 
-    # slot key -> sorted list of (prep, exec_start, exec_stop, spawn_return)
+    # slot key -> list of (prep, exec_start, exec_stop, end, returned)
     cpn = pd.cores_per_node
-    per_slot: dict[int, list[tuple[int, int, int, int]]] = {}
-    for tl in timelines.values():
-        iv = (tl.prep_us, tl.exec_start_us, tl.exec_stop_us, tl.return_us)
-        for a in tl.placement.assignments:
-            for c in a.core_indices:
-                per_slot.setdefault(a.node_index * cpn + c, []).append(iv)
+    per_slot: dict[int, list[tuple[int, int, int, int, bool]]] = {}
+    for a in attempts:
+        iv = (a.prep_us, a.exec_start_us, a.exec_stop_us, a.end_us, a.returned)
+        for na in a.placement.assignments:
+            base = na.node_index * cpn
+            for c in na.core_indices:
+                per_slot.setdefault(base + c, []).append(iv)
 
     total_cores = pd.total_cores
     acc = {cat: 0 for cat in CATEGORIES}
@@ -231,16 +248,19 @@ def compute_utilization(trace: Trace, pd: PilotDescription) -> UtilizationReport
         ivs.sort()
         cursor = R
         first = True
-        for prep, es, eo, sr in ivs:
+        for prep, es, eo, end, returned in ivs:
             if first:
                 acc["warmup"] += prep - cursor
                 first = False
             else:
                 acc["idle"] += prep - cursor
-            acc["prepare_exec"] += es - prep
-            acc["exec_cmd"] += eo - es
-            acc["drain"] += sr - eo
-            cursor = sr
+            if returned:
+                acc["prepare_exec"] += es - prep
+                acc["exec_cmd"] += eo - es
+                acc["drain"] += end - eo
+            else:
+                acc["lost"] += end - prep
+            cursor = end
         acc["idle"] += G - cursor
         acc["drain"] += S - G
 
@@ -249,8 +269,9 @@ def compute_utilization(trace: Trace, pd: PilotDescription) -> UtilizationReport
     if residual != 0:
         raise IncompleteTrace(f"utilization partition residual {residual} us (slot overlap?)")
 
-    ttx = compute_ttx(trace) if timelines else 0.0
-    demand = sum(tl.placement.total_cores for tl in timelines.values())
+    ttx = compute_ttx(trace) if attempts else 0.0
+    cores_by_task = {a.uid: a.placement.total_cores for a in attempts}
+    demand = sum(cores_by_task.values())
     generations = math.ceil(demand / total_cores) if demand else 0
     ru = 100.0 * acc["exec_cmd"] / total_us if total_us else 0.0
     ovh_us = acc["pilot_startup"] + acc["warmup"] + acc["prepare_exec"] + acc["drain"]
@@ -261,7 +282,7 @@ def compute_utilization(trace: Trace, pd: PilotDescription) -> UtilizationReport
         breakdown={cat: v / US for cat, v in acc.items()},
         ru_pct=ru,
         ovh_pct=ovh,
-        tasks=len(timelines),
+        tasks=len(cores_by_task),
         generations=generations,
         cores=total_cores,
         breakdown_us=acc,
@@ -341,45 +362,35 @@ def concurrency_and_rate_series(trace: Trace, bin_width_s: float) -> tuple[TimeS
 
 
 def latency_stats(trace: Trace) -> dict[str, float]:
-    """Recover launcher latency means from per-task lifecycle events."""
-    timelines = task_timelines(trace)
-    prepares = []
-    acks = []
-    for tl in timelines.values():
-        if not tl.complete:
-            continue
-        prep = tl.last_prep_us if tl.last_prep_us is not None else tl.prep_us
-        prepares.append((tl.exec_start_us - prep) / US)
-        acks.append((tl.return_us - tl.exec_stop_us) / US)
-    n = len(prepares)
+    """Recover launcher latency means from the launches that returned."""
+    done = [a for a in trace.attempts if a.returned and a.complete]
+    n = len(done)
     if n == 0:
         return {"n": 0, "prepare_mean_s": 0.0, "ack_mean_s": 0.0}
     return {
         "n": n,
-        "prepare_mean_s": sum(prepares) / n,
-        "ack_mean_s": sum(acks) / n,
+        "prepare_mean_s": sum(a.exec_start_us - a.prep_us for a in done) / n / US,
+        "ack_mean_s": sum(a.end_us - a.exec_stop_us for a in done) / n / US,
     }
 
 
 def replay_check(trace: Trace) -> list[str]:
-    """Replay placements from the trace; report slot oversubscription and
-    single-node-rule violations."""
+    """Replay every launch's placement over [schedule_ok, end); report slot
+    oversubscription and single-node-rule violations."""
     violations: list[str] = []
-    timelines = task_timelines(trace)
     core_iv: dict[tuple[int, int], list[tuple[int, int, str]]] = {}
     gpu_iv: dict[tuple[int, int], list[tuple[int, int, str]]] = {}
-    for tl in timelines.values():
-        if tl.return_us is None:
+    for a in trace.attempts:
+        if a.end_us is None:
             continue
-        if not tl.uses_mpi and len(tl.placement.assignments) > 1:
-            violations.append(f"non-MPI task {tl.uid} spans nodes")
-        for a in tl.placement.assignments:
-            for c in a.core_indices:
-                core_iv.setdefault((a.node_index, c), []).append(
-                    (tl.sched_us, tl.return_us, tl.uid))
-            for g in a.gpu_indices:
-                gpu_iv.setdefault((a.node_index, g), []).append(
-                    (tl.sched_us, tl.return_us, tl.uid))
+        if not a.uses_mpi and len(a.placement.assignments) > 1:
+            violations.append(f"non-MPI task {a.uid} spans nodes")
+        iv = (a.sched_us, a.end_us, a.uid)
+        for na in a.placement.assignments:
+            for c in na.core_indices:
+                core_iv.setdefault((na.node_index, c), []).append(iv)
+            for g in na.gpu_indices:
+                gpu_iv.setdefault((na.node_index, g), []).append(iv)
     for label, table in (("core", core_iv), ("gpu", gpu_iv)):
         for slot, ivs in table.items():
             ivs.sort()

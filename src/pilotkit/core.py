@@ -255,28 +255,21 @@ def load_pilot_profile(path: str) -> PilotDescription:
 
 
 @dataclass
-class Node:
-    name: str
-
-
-@dataclass
 class NodeList:
-    nodes: list[Node]
+    """A pilot's nodes, all of one shape; a node is its index, 0 to count - 1."""
+    count: int
     cores_per_node: int
     gpus_per_node: int
 
     def __len__(self) -> int:
-        return len(self.nodes)
+        return self.count
 
 
 def build_node_list(pd: PilotDescription) -> NodeList:
-    """Build a pilot's node list, one entry per node; which slots are free
-    is kept by :class:`pilotkit.scheduler.SlotMap`.
-
-    Node names are zero-padded index strings so ordering is deterministic.
-    """
-    nodes = [Node(name=f"node{i:05d}") for i in range(pd.nodes)]
-    return NodeList(nodes=nodes, cores_per_node=pd.cores_per_node, gpus_per_node=pd.gpus_per_node)
+    """Build a pilot's node list; which slots are free is kept by
+    :class:`pilotkit.scheduler.SlotMap`."""
+    return NodeList(count=pd.nodes, cores_per_node=pd.cores_per_node,
+                    gpus_per_node=pd.gpus_per_node)
 
 
 def validate_task_description(td: TaskDescription, pd: PilotDescription) -> TaskDescription:
@@ -374,7 +367,6 @@ __all__ = [
     "TaskDescription",
     "PilotDescription",
     "load_pilot_profile",
-    "Node",
     "NodeList",
     "build_node_list",
     "validate_task_description",

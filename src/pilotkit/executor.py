@@ -54,7 +54,7 @@ def partition_dvms(node_list: NodeList, max_nodes_per_dvm: int,
     if max_nodes_per_dvm < 1:
         raise ValueError("max_nodes_per_dvm must be >= 1")
     lm = latency_model or LatencyModel()
-    n = len(node_list.nodes)
+    n = len(node_list)
     dvms = []
     for i, start in enumerate(range(0, n, max_nodes_per_dvm)):
         stop = min(start + max_nodes_per_dvm, n)

@@ -91,7 +91,7 @@ class SlotMap:
     """
 
     def __init__(self, node_list: NodeList):
-        n = len(node_list.nodes)
+        n = len(node_list)
         self.node_list = node_list
         self.busy: dict[str, Placement] = {}
         self.free_cores = [node_list.cores_per_node] * n
@@ -264,26 +264,18 @@ def allocate_continuous(td: TaskDescription, sm: SlotMap,
     return placement
 
 
-class TagRegistry:
-    """Tag → node-index binding; first use of a tag binds it."""
-
-    def __init__(self):
-        self.bindings: dict[str, tuple[int, ...]] = {}
-
-
-def allocate_tagged(td: TaskDescription, sm: SlotMap, tags: TagRegistry) -> Placement:
+def allocate_tagged(td: TaskDescription, sm: SlotMap,
+                    tags: dict[str, tuple[int, ...]]) -> Placement:
+    """Place a tagged task. ``tags`` maps a tag to the node indices its
+    first use was placed on; later uses are pinned to those nodes."""
     tag = td.tag
     assert tag is not None
-    bound = tags.bindings.get(tag)
+    bound = tags.get(tag)
     if bound is None:
         placement = allocate_continuous(td, sm)
-        tags.bindings[tag] = placement.node_indices
+        tags[tag] = placement.node_indices
         return placement
     return allocate_continuous(td, sm, node_subset=list(bound))
-
-
-def release_slots(placement: Placement, sm: SlotMap):
-    sm.release(placement)
 
 
 class Scheduler:
@@ -305,7 +297,7 @@ class Scheduler:
 
     def __init__(self, slot_map: SlotMap):
         self.slot_map = slot_map
-        self.tags = TagRegistry()
+        self.tags: dict[str, tuple[int, ...]] = {}  # tag -> its bound nodes
         self.waiting: dict[str, TaskDescription] = {}
         self.newly_waiting: list[TaskDescription] = []
         self._buckets: dict[tuple, deque[tuple[int, TaskDescription]]] = {}
@@ -396,4 +388,4 @@ class Scheduler:
         return placed
 
     def complete(self, placement: Placement):
-        release_slots(placement, self.slot_map)
+        self.slot_map.release(placement)

@@ -77,11 +77,12 @@ class SimAgent(AgentCore):
 
     A lost DVM takes its nodes out of service. Every task with a slot on
     them, an MPI span launched through another DVM included, is stranded:
-    its launch gets the stages it had not reached at the loss, its slots
-    are released, and it goes back to the scheduler to be placed again
-    (or fails, if it was stranded before). A launch is current while its
-    DVM holds it in ``inflight``; a stage of a lost launch is dropped when
-    it pops and leaves the clock where it is.
+    its launch gets the stages up to exec_stop that it had not reached at
+    the loss and ends with ``launch_lost``, its slots are released, and it
+    goes back to the scheduler to be placed again (or fails, if it was
+    stranded before). A launch is current while its DVM holds it in
+    ``inflight``; a stage of a lost launch is dropped when it pops and
+    leaves the clock where it is.
 
     Trace rows are stamped with the virtual time and kept per component
     until a tracer buffer's worth is ready; the tracer gets them in one call.
@@ -235,8 +236,9 @@ class SimAgent(AgentCore):
             launch = self._owner[task.placement.assignments[0].node_index].inflight.pop(uid)
             times, first = launch[3], launch[4]
             done = sum(1 for k in range(len(STAGES)) if (times[k], first + k) < loss)
-            for name in STAGES[done:]:  # its slots were held until now
+            for name in STAGES[done:-1]:  # its slots were held until now
                 self._emit("executor", name, uid, launch[2])
+            self._emit("executor", "launch_lost", uid, launch[2])
             self._release(task)
             if uid in self._retried:
                 self._end(task, TaskState.FAILED, f"DVM {dvm_id} failed twice for task")

@@ -41,6 +41,7 @@ EVENTS = {
     "stage_out_start": 24,
     "stage_out_stop": 25,
     "spawn_return": 30,
+    "launch_lost": 30,  # ends a launch lost with its DVM, in place of spawn_return
     "task_done": 31,
     "task_failed": 31,
     "task_canceled": 31,

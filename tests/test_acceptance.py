@@ -32,7 +32,7 @@ from pilotkit.core import (
 )
 from pilotkit.harness import ExperimentSpec, run_experiment
 from pilotkit.raptor import MasterConfig, launch_master, launch_workers
-from pilotkit.scheduler import NoFit, SlotMap, allocate_continuous, release_slots
+from pilotkit.scheduler import NoFit, SlotMap, allocate_continuous
 from pilotkit.simulator import SimAgent
 from pilotkit.tracer import NullTracer, Tracer
 
@@ -74,7 +74,7 @@ def test_scheduler_matches_oracle_on_1000_instances():
     for i in range(1000):
         if live and rng.random() < 0.45:
             placement = live.pop(rng.randrange(len(live)))
-            release_slots(placement, sm)
+            sm.release(placement)
             for a in placement.assignments:
                 for c in a.core_indices:
                     mirror[a.node_index][0][c] = 0

@@ -2,6 +2,7 @@
 sandbox isolation, cancellation, and lifecycle event completeness."""
 
 import os
+import shutil
 import sys
 import threading
 import time
@@ -12,8 +13,9 @@ import pytest
 from pilotkit import bus
 from pilotkit.agent import FUNCTION_REGISTRY, LocalAgent, register_function
 from pilotkit.analytics import compute_utilization, load_session_traces
+from pilotkit.client import create_session
 from pilotkit.core import TaskDescription, TaskKind, TaskState
-from pilotkit.tracer import Tracer
+from pilotkit.tracer import EVENTS, Tracer
 
 from conftest import assert_lifecycle, task
 
@@ -273,6 +275,45 @@ class TestCancel:
         assert agent.tasks["waiting"].state == TaskState.CANCELED
         tracer.close()
         hub.close()
+
+
+    def test_cancel_during_stage_in(self, local_pilot, tmp_path, monkeypatch):
+        """Session.close cancels a task whose stage-in is still copying on
+        the agent thread; the copy ends only after the cancel is asked."""
+        copying, release = threading.Event(), threading.Event()
+        copyfile = shutil.copyfile
+
+        def held_copyfile(src, dst, **kw):
+            copying.set()
+            assert release.wait(30.0)
+            return copyfile(src, dst, **kw)
+
+        monkeypatch.setattr(shutil, "copyfile", held_copyfile)
+        src = tmp_path / "in.txt"
+        src.write_text("x")
+        session = create_session(str(tmp_path / "w"), uid="s")
+        pilot = session.create_pilot_manager().submit_pilot(local_pilot(cores=1))
+        tm = session.create_task_manager()
+        [handle] = tm.submit_tasks([TaskDescription(
+            uid="staged", executable="true", stage_in=((str(src), "in.txt"),))])
+        assert copying.wait(10.0)
+        closer = threading.Thread(target=session.close)
+        closer.start()
+        deadline = time.monotonic() + 10.0
+        while not pilot.agent._cancel.is_set():
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        release.set()
+        closer.join(30.0)
+        assert not closer.is_alive()
+        assert pilot.agent.tasks["staged"].state == TaskState.CANCELED
+        assert_lifecycle(pilot.agent.tasks["staged"])
+        trace = load_session_traces(pilot.trace_dir)
+        assert trace.manifest["unknown_event_names"] == 0
+        assert {e.name for e in trace.events} <= EVENTS.keys()
+        assert "stage_in_stop" in {e.name for e in trace.events}
+        for a in trace.attempts:
+            assert (a.exec_start_us is None) == (a.exec_stop_us is None), a
 
 
 class TestEvents:

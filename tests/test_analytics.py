@@ -27,7 +27,6 @@ from pilotkit.analytics import (
     parse_schedule_detail,
     rate_series,
     replay_check,
-    task_timelines,
 )
 from pilotkit.core import Fabric, PilotDescription
 
@@ -75,6 +74,14 @@ def synth_trace(task_rows, nodes=1, cores=2, start=0.0, ready=0.1, stop=None):
     ev.append(TraceEvent(round(stop * US), "agent", "agent_stop", "", "p"))
     ev.sort(key=lambda e: e.ts_us)
     return Trace(events=ev, manifest={})
+
+
+def lose_first_launch(trace, uid):
+    """End uid's first launch with launch_lost, as a lost DVM does."""
+    i = next(i for i, e in enumerate(trace.events)
+             if e.name == "spawn_return" and e.task_uid == uid)
+    trace.events[i] = trace.events[i]._replace(name="launch_lost")
+    return trace
 
 
 class TestLoad:
@@ -135,19 +142,6 @@ class TestTtxAndTimelines:
         assert p.total_cores == 4 and p.total_gpus == 1
         assert dvm == 3 and mpi is True
 
-    def test_timeline_retry_keeps_first_prep_and_last_exec(self):
-        ev = synth_trace([("t0", "0:0:", 1.0, 1.0, 1.2, 2.0, 2.1)]).events
-        # inject a second (retry) prepare/exec pair before the final return
-        extra = [
-            TraceEvent(round(1.5 * US), "executor", "prepare_start", "t0", "1"),
-            TraceEvent(round(1.7 * US), "executor", "exec_start", "t0", "1"),
-        ]
-        trace = Trace(events=sorted(ev + extra, key=lambda e: e.ts_us), manifest={})
-        tl = task_timelines(trace)["t0"]
-        assert tl.prep_us == round(1.0 * US)
-        assert tl.last_prep_us == round(1.5 * US)
-        assert tl.exec_start_us == round(1.7 * US)
-
 
 class TestUtilization:
     def test_hand_computed_partition(self):
@@ -167,6 +161,29 @@ class TestUtilization:
         assert b["idle"] == 0 + (1500000 - 100000)
         assert sum(b.values()) == rep.total_core_us == 2 * 2500000
         assert rep.ru_pct == pytest.approx(100.0 * 1000000 / 5000000)
+
+    def test_lost_launch_is_booked_as_lost(self):
+        # t0 launches on core 0 and is lost at 1.0, then runs on core 1.
+        trace = lose_first_launch(synth_trace([
+            ("t0", "0:0:", 0.1, 0.1, 0.2, 1.0, 1.0),
+            ("t0", "0:1:", 1.0, 1.0, 1.1, 2.1, 2.2),
+        ], stop=2.25), "t0")
+        assert [a.returned for a in trace.attempts] == [False, True]
+        rep = compute_utilization(trace, pilot(cores=2))
+        assert rep.breakdown_us == {
+            "pilot_startup": 2 * 100000,
+            "warmup": 900000,           # core 1: 0.1 -> 1.0
+            "prepare_exec": 100000,
+            "exec_cmd": 1000000,
+            "idle": 1200000,            # core 0: the loss -> the last end
+            "drain": 100000 + 2 * 50000,
+            "lost": 900000,             # core 0: prepare_start -> the loss
+        }
+        assert sum(rep.breakdown_us.values()) == rep.total_core_us
+        assert rep.tasks == 1 and rep.generations == 1
+        assert rep.ttx_s == pytest.approx(2.1)
+        assert latency_stats(trace)["n"] == 1
+        assert rate_series(trace, 0.5).integral() == pytest.approx(1.0)
 
     def test_exact_partition_no_residual_random(self):
         import random
@@ -264,6 +281,15 @@ class TestReplay:
         ])
         v = replay_check(trace)
         assert len(v) == 1 and "double-booked" in v[0]
+
+    def test_lost_launch_overlapping_a_later_launch_detected(self):
+        trace = lose_first_launch(synth_trace([
+            ("t0", "0:0:", 0.1, 0.1, 0.2, 1.0, 1.0),
+            ("t0", "0:1:", 1.0, 1.0, 1.1, 2.1, 2.2),
+            ("t1", "0:0:", 0.5, 0.5, 0.6, 1.6, 1.7),
+        ]), "t0")
+        assert replay_check(trace) == [
+            "core slot (0, 0) double-booked: t0 [100000,1000000) vs t1 [500000,1700000)"]
 
     def test_non_mpi_span_detected(self):
         trace = synth_trace([("t0", "0:0:;1:0:", 0.1, 0.1, 0.2, 1.2, 1.3)])

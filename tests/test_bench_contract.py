@@ -1,9 +1,13 @@
-"""The span names the benchmark (``perfbench/``) hooks or treats as waits
-name code that exists: a renamed or deleted method would otherwise make its
-per-layer metrics read zero without an error."""
+"""The span names the benchmark (``perfbench/``) hooks, treats as waits or
+reads its per-layer metrics from name code that exists: a renamed or deleted
+method would otherwise make its per-layer metrics read zero without an
+error."""
 
+import ast
 import importlib
+import inspect
 import os
+import re
 import sys
 
 import pytest
@@ -23,8 +27,30 @@ def _perfbench_module(name):
 layers = _perfbench_module("layers")
 spans = _perfbench_module("spans")
 
+
+def quoted_span_names(module) -> set[str]:
+    """The quoted ``layer.Name[.attr]`` literals in a module's source, less
+    the keys of the metric and counter tables it fills (``m[...]``,
+    ``c[...]`` and ``counters[...]``), which name metrics, not code."""
+    tree = ast.parse(inspect.getsource(module))
+    keys = {id(node.slice) for node in ast.walk(tree)
+            if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+            and node.value.id in ("m", "c", "counters")}
+    pattern = re.compile(rf"(?:{'|'.join(spans.LAYERS)})(?:\.\w+)+")
+    return {node.value for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and id(node) not in keys and pattern.fullmatch(node.value)}
+
+
 SPAN_NAMES = sorted({*layers.HOOKS, *layers.WAITS,
-                     *(f"{name}.__init__" for name in spans.CONSTRUCTORS)})
+                     *(f"{name}.__init__" for name in spans.CONSTRUCTORS),
+                     *quoted_span_names(layers)})
+
+
+def test_quoted_span_names_are_collected():
+    assert {"analytics.load_session_traces", "analytics.replay_check",
+            "scheduler.Scheduler.complete", "tracer.Tracer.emit"} <= set(SPAN_NAMES)
+    assert "scheduler.placements" not in SPAN_NAMES  # a counter
 
 
 @pytest.mark.parametrize("span", SPAN_NAMES)

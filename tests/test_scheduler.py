@@ -13,11 +13,9 @@ from pilotkit.scheduler import (
     Placement,
     Scheduler,
     SlotMap,
-    TagRegistry,
     UnknownPlacement,
     allocate_continuous,
     allocate_tagged,
-    release_slots,
 )
 
 from conftest import task
@@ -121,7 +119,7 @@ class TestContinuous:
 class TestTagged:
     def test_first_use_binds_then_reuses(self, sim_pilot):
         sm = SlotMap(build_node_list(sim_pilot(nodes=2, cores=4)))
-        tags = TagRegistry()
+        tags = {}
         p1 = allocate_tagged(task("a", cores=2, tag="A"), sm, tags)
         assert p1.assignments[0].node_index == 0
         p2 = allocate_tagged(task("b", cores=2, tag="A"), sm, tags)
@@ -130,7 +128,7 @@ class TestTagged:
 
     def test_pinned_nofit_despite_free_capacity(self, sim_pilot):
         sm = SlotMap(build_node_list(sim_pilot(nodes=2, cores=4)))
-        tags = TagRegistry()
+        tags = {}
         allocate_tagged(task("a", cores=4, tag="A"), sm, tags)
         with pytest.raises(NoFit):
             allocate_tagged(task("b", cores=1, tag="A"), sm, tags)
@@ -138,7 +136,7 @@ class TestTagged:
 
     def test_distinct_tags_get_distinct_nodes(self, sim_pilot):
         sm = SlotMap(build_node_list(sim_pilot(nodes=2, cores=4)))
-        tags = TagRegistry()
+        tags = {}
         pa = allocate_tagged(task("a", cores=4, tag="A"), sm, tags)
         pb = allocate_tagged(task("b", cores=4, tag="B"), sm, tags)
         assert set(pa.node_indices).isdisjoint(pb.node_indices)
@@ -149,16 +147,16 @@ class TestRelease:
         sm = SlotMap(build_node_list(sim_pilot(nodes=2, cores=4, gpus=1)))
         before = snapshot(sm)
         p = allocate_continuous(task("t", cores=3, gpus=1), sm)
-        release_slots(p, sm)
+        sm.release(p)
         assert snapshot(sm) == before
         assert sm.busy == {}
 
     def test_double_release(self, sim_pilot):
         sm = SlotMap(build_node_list(sim_pilot()))
         p = allocate_continuous(task("t"), sm)
-        release_slots(p, sm)
+        sm.release(p)
         with pytest.raises(UnknownPlacement):
-            release_slots(p, sm)
+            sm.release(p)
 
     def test_conservation(self, sim_pilot):
         sm = SlotMap(build_node_list(sim_pilot(nodes=3, cores=4, gpus=2)))
@@ -166,7 +164,7 @@ class TestRelease:
         placements = []
         for i in range(30):
             if placements and rng.random() < 0.4:
-                release_slots(placements.pop(rng.randrange(len(placements))), sm)
+                sm.release(placements.pop(rng.randrange(len(placements))))
             else:
                 try:
                     placements.append(allocate_continuous(
@@ -288,7 +286,7 @@ def test_oracle_sweep_on_a_padded_index():
     for i in range(3000):
         if live and rng.random() < 0.45:
             placement = live.pop(rng.randrange(len(live)))
-            release_slots(placement, sm)
+            sm.release(placement)
             for a in placement.assignments:
                 for c in a.core_indices:
                     mirror[a.node_index][0][c] = 0
@@ -321,7 +319,7 @@ class ReferenceScheduler:
 
     def __init__(self, slot_map):
         self.slot_map = slot_map
-        self.tags = TagRegistry()
+        self.tags = {}
         self.waiting = []
         self.newly_waiting = []
         self._waiting_core_counts = Counter()
@@ -372,7 +370,7 @@ class ReferenceScheduler:
         return placed
 
     def complete(self, placement):
-        release_slots(placement, self.slot_map)
+        self.slot_map.release(placement)
 
 
 def assert_same_rescan(sched, ref):

@@ -15,8 +15,8 @@ from pilotkit.analytics import (
     latency_stats,
     load_session_traces,
     parse_schedule_detail,
+    rate_series,
     replay_check,
-    task_timelines,
 )
 from pilotkit.core import LatencyModel, TaskState
 from pilotkit.simulator import SimAgent, sim_duration
@@ -79,8 +79,8 @@ class TestZeroLatency:
     def test_single_task_timeline(self, sim_pilot, tmp_path):
         pd = sim_pilot(nodes=1, cores=1)
         tasks, trace = run_sim(pd, [task("t0", duration=1.0)], tmp_path)
-        tl = task_timelines(trace)["t0"]
-        assert (tl.exec_stop_us - tl.exec_start_us) == 1_000_000
+        [a] = trace.attempts
+        assert (a.exec_stop_us - a.exec_start_us) == 1_000_000
 
 
 class TestEventOrder:
@@ -185,9 +185,9 @@ class TestFaultTolerance:
         tasks, trace = run_sim(pd, [task("t0", duration=10.0)], tmp_path,
                                dvm_failures=failures)
         assert tasks["t0"].state == TaskState.FAILED
-        tl = task_timelines(trace)["t0"]
+        assert all(a.complete and not a.returned for a in trace.attempts)
         fail = trace.by_name("task_failed")[0].ts_us
-        assert tl.complete and tl.exec_stop_us == tl.return_us == fail
+        assert trace.attempts[-1].exec_stop_us == trace.attempts[-1].end_us == fail
         assert_partition_exact(trace, pd)
         assert replay_check(trace) == []
 
@@ -213,12 +213,31 @@ class TestLauncherModel:
         for e in trace.by_name("schedule_ok"):
             placement, dvm_id, _ = parse_schedule_detail(e.detail, e.task_uid)
             assert dvm_id == placement.assignments[0].node_index // 4, e
+        # A launch returned exactly when it was off the lost nodes.
         lost = set(range(12, 16)) | set(range(44, 48))
-        for uid, tl in task_timelines(trace).items():
-            assert lost.isdisjoint(tl.placement.node_indices), uid
+        for a in trace.attempts:
+            assert a.returned == lost.isdisjoint(a.placement.node_indices), a
         assert concurrency_series(trace, 0.5).peak() <= pd.total_cores
         assert sum(t.state == TaskState.DONE for t in tasks.values()) == 256
         assert replay_check(trace) == []
+
+    def test_fault_gate_accounts_for_every_launch(self, sim_pilot, tmp_path):
+        pd = sim_pilot(nodes=64, cores=4, dvm_max=4)
+        tds = [task(f"t{i:03d}", duration=2.0) for i in range(256)]
+        _, trace = run_sim(pd, tds, tmp_path, seed=5, dvm_failures=[(3, 1.0), (11, 1.0)])
+        # 32 launches on the lost nodes, 0.1 s -> 1.0 s each, are lost; the
+        # 256 launches that returned ran 2 s each. Replay reads all 288.
+        assert len(trace.attempts) == 288
+        assert all(a.complete for a in trace.attempts)
+        assert sum(not a.returned for a in trace.attempts) == 32
+        assert replay_check(trace) == []
+        report = compute_utilization(trace, pd)
+        assert report.breakdown_us["exec_cmd"] == 512_000_000
+        assert report.breakdown_us["lost"] == 28_800_000
+        assert report.breakdown_us["idle"] == 483_200_000
+        assert_partition_exact(trace, pd)
+        assert report.tasks == 256
+        assert rate_series(trace, 0.5).integral() == pytest.approx(256.0)
 
     def test_span_across_partitions_is_stranded_by_either_owner(self, sim_pilot, tmp_path):
         pd = sim_pilot(nodes=4, cores=2, dvm_max=2)  # DVM 0: nodes 0-1, DVM 1: 2-3
@@ -326,10 +345,12 @@ class TestGoldenTrace:
     # The simulated trace is a contract: refactoring the agent must leave
     # it byte-identical for a given seed. Change this digest only with a
     # deliberate change to the simulated model or the trace format. Every
-    # digest below last changed when tasks began to launch through the DVM
-    # that owns their first node, and a lost DVM began to withdraw its nodes
-    # and send the tasks stranded on them back to the scheduler.
-    DIGEST = "6323fab651aee1c347851e0d3eac19600f07da5b85c20a72969d21070a78f6a4"
+    # digest below changed when tasks began to launch through the DVM that
+    # owns their first node, and a lost DVM began to withdraw its nodes and
+    # send the tasks stranded on them back to the scheduler. The digests of
+    # the cases that lose a DVM changed again, and only, when a stranded
+    # launch began to end with launch_lost in place of spawn_return.
+    DIGEST = "c19bcdcd219a257df68f2df56c6fce12a44b909bc9479f22fa447128a99f1e96"
 
     def test_hetero_with_two_of_four_dvms_lost(self, sim_pilot, tmp_path):
         lm = LatencyModel(prepare_mean_s=0.037, prepare_std_s=0.01,
@@ -358,7 +379,7 @@ class TestGoldenTrace:
 
     # The four cases below check that stages pop in (time, seq) order and
     # that the stages of a lost launch are emitted at the loss.
-    STALE_DIGEST = "3fa58a20c706b615bd4626945ec432dcd2e319d0358a7c500caa037a85aa1449"
+    STALE_DIGEST = "0e8307b068d23d26a4172af46626accd82fd3127f57b1e6df9bc5ab73dcb8759"
 
     def test_stale_stages_of_a_lost_launch_set_agent_stop(self, sim_pilot, tmp_path):
         lm = LatencyModel(prepare_mean_s=0.05, ack_mean_s=0.1)
@@ -371,7 +392,7 @@ class TestGoldenTrace:
         assert trace.last("agent_stop").ts_us == 450_000
         assert trace_sha256(tmp_path / "traces") == self.STALE_DIGEST
 
-    TIES_DIGEST = "39e5891aca1744564f68e9617efe2929aba91e6ffe4de78ef2655139f256f5f3"
+    TIES_DIGEST = "b7f85f1ec954d8fa4bf9cf54eb4ce6bf71df30141d85d8334e2a1e1efe1a974e"
 
     def test_zero_latency_stages_tie_and_order_by_seq(self, sim_pilot, tmp_path):
         pd = sim_pilot(nodes=4, cores=2, dvm_max=2, bootstrap_s=0.5)
@@ -384,7 +405,7 @@ class TestGoldenTrace:
         assert all(t.state == TaskState.DONE for t in tasks.values())
         assert trace_sha256(tmp_path / "traces") == self.TIES_DIGEST
 
-    BOOTSTRAP_LOSS_DIGEST = "5b1aeef14260459d333bb2f7a8ef919fd6ca77066dd1d31800c86872d911372c"
+    BOOTSTRAP_LOSS_DIGEST = "f3a2b155db6972ac250b8268dfb0ca6fd80f0a92397a28e993820acfd28a68a9"
 
     def test_dvm_lost_at_bootstrap(self, sim_pilot, tmp_path):
         lm = LatencyModel(prepare_mean_s=0.037, prepare_std_s=0.01,
@@ -392,14 +413,14 @@ class TestGoldenTrace:
         pd = sim_pilot(nodes=4, cores=4, dvm_max=2, lm=lm)
         tds = [task(f"t{i:02d}", duration=1.0) for i in range(24)]
         # Queued before the first launches, the loss pops before their
-        # prepare_start: the tasks on DVM 0's nodes get all four stages at
-        # the loss and are placed again on DVM 1's.
+        # prepare_start: the tasks on DVM 0's nodes get three stages and
+        # launch_lost at the loss and are placed again on DVM 1's.
         tasks, _ = run_sim(pd, tds, tmp_path, seed=3,
                            dvm_failures=[(0, pd.bootstrap_s)])
         assert all(t.state == TaskState.DONE for t in tasks.values())
         assert trace_sha256(tmp_path / "traces") == self.BOOTSTRAP_LOSS_DIGEST
 
-    ALL_LOST_DIGEST = "3495ba38ea214aeda66cebe46bce8e136e8c40d2f03c226dc03f2d9b93e4f2c8"
+    ALL_LOST_DIGEST = "966d3ea9f364d5c7c3e42201a902beb79722bc7d86858dbe60316dd81a293e96"
 
     def test_all_dvms_lost_with_tasks_waiting(self, sim_pilot, tmp_path):
         pd = sim_pilot(nodes=2, cores=1, dvm_max=1, lm=LatencyModel(ack_mean_s=0.1))

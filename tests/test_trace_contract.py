@@ -101,4 +101,4 @@ def test_every_emitted_event_is_in_the_event_table(tmp_path, local_pilot, sim_pi
     handles = tm.submit_tasks([task(f"t{i:02d}", duration=1.0) for i in range(16)])
     assert set(tm.wait_tasks(handles)) == {"DONE"}
     s.close()
-    assert "dvm_failed" in emitted_names(s, pilot)
+    assert {"dvm_failed", "launch_lost"} <= emitted_names(s, pilot)
