@@ -40,7 +40,7 @@ from .core import (
     validate_task_description,
 )
 from .executor import SpawnFailure, build_launch_command, spawn_local
-from .scheduler import Scheduler, SlotMap
+from .scheduler import Scheduler, SlotMap, format_placement
 from .tracer import Tracer
 
 CANCEL_GRACE_S = 5.0
@@ -118,7 +118,8 @@ class AgentCore:
             try:
                 self._stage(td, "in")
             except OSError as exc:
-                self._reject(task, f"SourceMissing: {exc}")
+                cause = "SourceMissing" if isinstance(exc, FileNotFoundError) else "StageInFailed"
+                self._reject(task, f"{cause}: {exc}")
                 return
         self.scheduler.submit(td)
         self._dirty = True
@@ -147,10 +148,10 @@ class AgentCore:
     def _schedule_ok(self, task: Task, launcher: str = ""):
         td = task.description
         self._emit("scheduler", "schedule_ok", td.uid,
-                   f"{task.placement.serialize()}{launcher}|mpi={int(td.uses_mpi)}")
+                   f"{format_placement(task.placement)}{launcher}|mpi={int(td.uses_mpi)}")
 
     def _release(self, task: Task):
-        self.scheduler.complete(task.placement)
+        self.scheduler.complete(task.uid)
         self._dirty = True
 
     def _returned(self, task: Task, ok: bool, exit_code: int | None,
@@ -285,11 +286,11 @@ class LocalAgent(AgentCore):
                 with self._lock:
                     del self.running[uid]
                 self._returned(self.tasks[uid], exit_code == 0, exit_code, error)
-            if self._dirty:
-                self._rescan()
-            if self._cancel.is_set():
+            if self._cancel.is_set():  # before a rescan could start what it cancels
                 self._do_cancel()
                 break
+            if self._dirty:
+                self._rescan()
             if self._stop_requested.is_set() and not self.running \
                     and self.scheduler.waiting_count() == 0 \
                     and self.in_q.pending() == 0:

@@ -19,7 +19,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .core import PilotkitError, PilotDescription
-from .scheduler import Placement
+from .scheduler import Placement, parse_placement
 from .tracer import EVENTS, UNKNOWN_RANK
 
 US = 1_000_000
@@ -115,7 +115,7 @@ class Trace:
         by_uid: dict[str, list[Attempt]] = {}
         for ts, _, name, uid, detail in self.events:
             if name == "schedule_ok":
-                placement, _, mpi = parse_schedule_detail(detail, uid)
+                placement, _, mpi = parse_schedule_detail(detail)
                 a = Attempt(uid, placement, mpi, ts)
                 out.append(a)
                 by_uid.setdefault(uid, []).append(a)
@@ -173,10 +173,10 @@ def compute_ttx(trace: Trace) -> float:
     return (max(ends) - first_pull.ts_us) / US
 
 
-def parse_schedule_detail(detail: str, uid: str) -> tuple[Placement, int | None, bool]:
+def parse_schedule_detail(detail: str) -> tuple[Placement, int | None, bool]:
     """Split a schedule_ok detail into (placement, dvm_id, uses_mpi)."""
     fields = detail.split("|")
-    placement = Placement.deserialize(uid, fields[0])
+    placement = parse_placement(fields[0])
     dvm_id = None
     mpi = False
     for f in fields[1:]:
@@ -231,9 +231,9 @@ def compute_utilization(trace: Trace, pd: PilotDescription) -> UtilizationReport
     per_slot: dict[int, list[tuple[int, int, int, int, bool]]] = {}
     for a in attempts:
         iv = (a.prep_us, a.exec_start_us, a.exec_stop_us, a.end_us, a.returned)
-        for na in a.placement.assignments:
-            base = na.node_index * cpn
-            for c in na.core_indices:
+        for node, cores, _ in a.placement:
+            base = node * cpn
+            for c in cores:
                 per_slot.setdefault(base + c, []).append(iv)
 
     total_cores = pd.total_cores
@@ -270,7 +270,8 @@ def compute_utilization(trace: Trace, pd: PilotDescription) -> UtilizationReport
         raise IncompleteTrace(f"utilization partition residual {residual} us (slot overlap?)")
 
     ttx = compute_ttx(trace) if attempts else 0.0
-    cores_by_task = {a.uid: a.placement.total_cores for a in attempts}
+    cores_by_task = {a.uid: sum(len(cores) for _, cores, _ in a.placement)
+                     for a in attempts}
     demand = sum(cores_by_task.values())
     generations = math.ceil(demand / total_cores) if demand else 0
     ru = 100.0 * acc["exec_cmd"] / total_us if total_us else 0.0
@@ -383,14 +384,14 @@ def replay_check(trace: Trace) -> list[str]:
     for a in trace.attempts:
         if a.end_us is None:
             continue
-        if not a.uses_mpi and len(a.placement.assignments) > 1:
+        if not a.uses_mpi and len(a.placement) > 1:
             violations.append(f"non-MPI task {a.uid} spans nodes")
         iv = (a.sched_us, a.end_us, a.uid)
-        for na in a.placement.assignments:
-            for c in na.core_indices:
-                core_iv.setdefault((na.node_index, c), []).append(iv)
-            for g in na.gpu_indices:
-                gpu_iv.setdefault((na.node_index, g), []).append(iv)
+        for node, cores, gpus in a.placement:
+            for c in cores:
+                core_iv.setdefault((node, c), []).append(iv)
+            for g in gpus:
+                gpu_iv.setdefault((node, g), []).append(iv)
     for label, table in (("core", core_iv), ("gpu", gpu_iv)):
         for slot, ivs in table.items():
             ivs.sort()

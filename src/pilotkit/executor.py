@@ -67,15 +67,14 @@ class CommandSpec:
     program: str
     args: tuple[str, ...]
     env: tuple[tuple[str, str], ...]
-    pin: str  # human-readable slot pin description
 
 
 def build_launch_command(td: TaskDescription, placement: Placement) -> CommandSpec:
     """Derive the deterministic launch command for an executable task."""
     if td.kind != TaskKind.EXECUTABLE:
         raise UnsupportedKind(f"task {td.uid!r} is not an executable task")
-    cores = [str(c) for a in placement.assignments for c in a.core_indices]
-    gpus = [str(g) for a in placement.assignments for g in a.gpu_indices]
+    cores = [str(c) for _, node_cores, _ in placement for c in node_cores]
+    gpus = [str(g) for _, _, node_gpus in placement for g in node_gpus]
     env = dict(td.environment)
     env["PILOTKIT_TASK_ID"] = td.uid
     env["PILOTKIT_CORES"] = ",".join(cores)
@@ -84,7 +83,6 @@ def build_launch_command(td: TaskDescription, placement: Placement) -> CommandSp
         program=td.executable,
         args=tuple(td.arguments),
         env=tuple(sorted(env.items())),
-        pin=placement.serialize(),
     )
 
 

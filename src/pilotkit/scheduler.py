@@ -19,7 +19,6 @@ from __future__ import annotations
 import bisect
 import heapq
 from collections import deque
-from dataclasses import dataclass
 
 from .core import NodeList, PilotkitError, TaskDescription
 
@@ -32,50 +31,31 @@ class NoFit(Exception):
     """Not an error state: the task goes to the waiting list."""
 
 
-@dataclass(frozen=True)
-class NodeAssignment:
-    node_index: int
-    core_indices: tuple[int, ...]
-    gpu_indices: tuple[int, ...] = ()
+# One (node, cores, gpus) triple per node the task has slots on, in the
+# order the scheduler walked the nodes; cores and gpus are ascending slot
+# indices. Plain tuples of ints, so the garbage collector stops tracking them.
+Placement = tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]
 
 
-@dataclass(frozen=True)
-class Placement:
-    task_uid: str
-    assignments: tuple[NodeAssignment, ...]
+def format_placement(placement: Placement) -> str:
+    """The text form of a placement in trace details: ``node:cores:gpus``
+    per node, slots joined by ``,`` and nodes by ``;``, e.g.
+    ``0:0,1:0;1:2,3:``."""
+    parts = []
+    for node, cores, gpus in placement:
+        parts.append(f"{node}:{','.join(map(str, cores))}:{','.join(map(str, gpus))}")
+    return ";".join(parts)
 
-    @property
-    def node_indices(self) -> tuple[int, ...]:
-        return tuple(a.node_index for a in self.assignments)
 
-    @property
-    def total_cores(self) -> int:
-        return sum(len(a.core_indices) for a in self.assignments)
-
-    @property
-    def total_gpus(self) -> int:
-        return sum(len(a.gpu_indices) for a in self.assignments)
-
-    def serialize(self) -> str:
-        """Compact text form used in trace event details."""
-        parts = []
-        for a in self.assignments:
-            cores = ",".join(map(str, a.core_indices))
-            gpus = ",".join(map(str, a.gpu_indices))
-            parts.append(f"{a.node_index}:{cores}:{gpus}")
-        return ";".join(parts)
-
-    @classmethod
-    def deserialize(cls, task_uid: str, text: str) -> "Placement":
-        assignments = []
-        for part in text.split(";"):
-            node_s, cores_s, gpus_s = part.split(":")
-            assignments.append(NodeAssignment(
-                node_index=int(node_s),
-                core_indices=tuple(int(i) for i in cores_s.split(",") if i),
-                gpu_indices=tuple(int(i) for i in gpus_s.split(",") if i),
-            ))
-        return cls(task_uid=task_uid, assignments=tuple(assignments))
+def parse_placement(text: str) -> Placement:
+    """The inverse of :func:`format_placement`."""
+    out = []
+    for part in text.split(";"):
+        node, cores, gpus = part.split(":")
+        out.append((int(node),
+                    tuple(map(int, cores.split(","))) if cores else (),
+                    tuple(map(int, gpus.split(","))) if gpus else ()))
+    return tuple(out)
 
 
 class SlotMap:
@@ -112,41 +92,40 @@ class SlotMap:
             mc[k] = max(mc[2 * k], mc[2 * k + 1])
             mg[k] = max(mg[2 * k], mg[2 * k + 1])
 
-    def apply(self, placement: Placement):
-        """Mark a placement's slots busy; ``list.remove`` raises ValueError
+    def apply(self, uid: str, placement: Placement):
+        """Mark a task's placement busy; ``list.remove`` raises ValueError
         for a slot that is not free."""
-        if placement.task_uid in self.busy:
-            raise PilotkitError(f"task {placement.task_uid!r} already placed")
-        for a in placement.assignments:
-            i = a.node_index
+        if uid in self.busy:
+            raise PilotkitError(f"task {uid!r} already placed")
+        for i, cores, gpus in placement:
             core_ids, gpu_ids = self._core_ids[i], self._gpu_ids[i]
-            for c in a.core_indices:
+            for c in cores:
                 core_ids.remove(c)
-            for g in a.gpu_indices:
+            for g in gpus:
                 gpu_ids.remove(g)
-            self.free_cores[i] -= len(a.core_indices)
-            self.free_gpus[i] -= len(a.gpu_indices)
-            self.total_free_cores -= len(a.core_indices)
-            self.total_free_gpus -= len(a.gpu_indices)
+            self.free_cores[i] -= len(cores)
+            self.free_gpus[i] -= len(gpus)
+            self.total_free_cores -= len(cores)
+            self.total_free_gpus -= len(gpus)
             self._update(i)
-        self.busy[placement.task_uid] = placement
+        self.busy[uid] = placement
 
-    def release(self, placement: Placement):
-        if placement.task_uid not in self.busy:
-            raise UnknownPlacement(f"task {placement.task_uid!r} is not busy")
-        for a in placement.assignments:
-            i = a.node_index
+    def release(self, uid: str):
+        """Free the slots of a busy task's placement."""
+        placement = self.busy.pop(uid, None)
+        if placement is None:
+            raise UnknownPlacement(f"task {uid!r} is not busy")
+        for i, cores, gpus in placement:
             core_ids, gpu_ids = self._core_ids[i], self._gpu_ids[i]
-            for c in a.core_indices:
+            for c in cores:
                 bisect.insort(core_ids, c)
-            for g in a.gpu_indices:
+            for g in gpus:
                 bisect.insort(gpu_ids, g)
-            self.free_cores[i] += len(a.core_indices)
-            self.free_gpus[i] += len(a.gpu_indices)
-            self.total_free_cores += len(a.core_indices)
-            self.total_free_gpus += len(a.gpu_indices)
+            self.free_cores[i] += len(cores)
+            self.free_gpus[i] += len(gpus)
+            self.total_free_cores += len(cores)
+            self.total_free_gpus += len(gpus)
             self._update(i)
-        del self.busy[placement.task_uid]
 
     def withdraw(self, nodes):
         """Take nodes out of service: nothing is placed on them again.
@@ -158,9 +137,6 @@ class SlotMap:
             self._core_ids[i].clear()
             self._gpu_ids[i].clear()
             self._update(i)
-
-    def busy_slot_count(self) -> int:
-        return sum(p.total_cores + p.total_gpus for p in self.busy.values())
 
     def _update(self, i: int):
         """Refresh node ``i``'s leaf and its ancestors, up to the first
@@ -212,11 +188,10 @@ class SlotMap:
             yield i
             i = self._first_fit(1, 0, i + 1)
 
-    def _take(self, i: int, cores: int, gpus: int) -> NodeAssignment:
-        """The lowest ``cores`` free cores and ``gpus`` free GPUs of node ``i``."""
-        return NodeAssignment(node_index=i,
-                              core_indices=tuple(self._core_ids[i][:cores]),
-                              gpu_indices=tuple(self._gpu_ids[i][:gpus]))
+    def _take(self, i: int, cores: int, gpus: int):
+        """Node ``i`` with its lowest ``cores`` free cores and ``gpus`` free
+        GPUs: one triple of a placement."""
+        return i, tuple(self._core_ids[i][:cores]), tuple(self._gpu_ids[i][:gpus])
 
 
 def allocate_continuous(td: TaskDescription, sm: SlotMap,
@@ -238,13 +213,13 @@ def allocate_continuous(td: TaskDescription, sm: SlotMap,
                       if sm.free_cores[i] >= c_need and sm.free_gpus[i] >= g_need), -1)
         if i < 0:
             raise NoFit(td.uid)
-        placement = Placement(task_uid=td.uid, assignments=(sm._take(i, c_need, g_need),))
-        sm.apply(placement)
+        placement = (sm._take(i, c_need, g_need),)
+        sm.apply(td.uid, placement)
         return placement
     # MPI: greedy span over nodes in index order.
     if sm.total_free_cores < c_need or sm.total_free_gpus < g_need:
         raise NoFit(td.uid)
-    assignments = []
+    placement = []
     remaining_c, remaining_g = c_need, g_need
     nodes = node_subset if node_subset is not None else sm._nodes_with_free_cores()
     for i in nodes:
@@ -254,13 +229,13 @@ def allocate_continuous(td: TaskDescription, sm: SlotMap,
         if take_c == 0:
             continue
         take_g = min(sm.free_gpus[i], remaining_g)
-        assignments.append(sm._take(i, take_c, take_g))
+        placement.append(sm._take(i, take_c, take_g))
         remaining_c -= take_c
         remaining_g -= take_g
     if remaining_c > 0 or remaining_g > 0:
         raise NoFit(td.uid)
-    placement = Placement(task_uid=td.uid, assignments=tuple(assignments))
-    sm.apply(placement)
+    placement = tuple(placement)
+    sm.apply(td.uid, placement)
     return placement
 
 
@@ -273,7 +248,7 @@ def allocate_tagged(td: TaskDescription, sm: SlotMap,
     bound = tags.get(tag)
     if bound is None:
         placement = allocate_continuous(td, sm)
-        tags[tag] = placement.node_indices
+        tags[tag] = tuple(n for n, _, _ in placement)
         return placement
     return allocate_continuous(td, sm, node_subset=list(bound))
 
@@ -387,5 +362,5 @@ class Scheduler:
         self.newly_waiting = [td for td in submitted if td.uid in waiting]
         return placed
 
-    def complete(self, placement: Placement):
-        self.slot_map.release(placement)
+    def complete(self, uid: str):
+        self.slot_map.release(uid)

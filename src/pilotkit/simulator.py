@@ -189,7 +189,7 @@ class SimAgent(AgentCore):
     def _launch(self, task: Task):
         """Launch a placed task through the DVM that owns its first node."""
         td = task.description
-        dvm = self._owner[task.placement.assignments[0].node_index]
+        dvm = self._owner[task.placement[0][0]]
         self._schedule_ok(task, f"|dvm={dvm.id}")
         lm = dvm.latency_model
         prepare = lm.sample_prepare(self.rng)
@@ -229,11 +229,11 @@ class SimAgent(AgentCore):
         lost = set(dvm.node_indices)
         slot_map = self.scheduler.slot_map
         stranded = [uid for uid, p in slot_map.busy.items()
-                    if any(a.node_index in lost for a in p.assignments)]
+                    if any(node in lost for node, _, _ in p)]
         loss = (self.now, seq)
         for uid in stranded:
             task = self.tasks[uid]
-            launch = self._owner[task.placement.assignments[0].node_index].inflight.pop(uid)
+            launch = self._owner[task.placement[0][0]].inflight.pop(uid)
             times, first = launch[3], launch[4]
             done = sum(1 for k in range(len(STAGES)) if (times[k], first + k) < loss)
             for name in STAGES[done:-1]:  # its slots were held until now

@@ -73,13 +73,13 @@ def test_scheduler_matches_oracle_on_1000_instances():
     t0 = time.monotonic()
     for i in range(1000):
         if live and rng.random() < 0.45:
-            placement = live.pop(rng.randrange(len(live)))
-            sm.release(placement)
-            for a in placement.assignments:
-                for c in a.core_indices:
-                    mirror[a.node_index][0][c] = 0
-                for g in a.gpu_indices:
-                    mirror[a.node_index][1][g] = 0
+            uid, placement = live.pop(rng.randrange(len(live)))
+            sm.release(uid)
+            for node, cores, gpus in placement:
+                for c in cores:
+                    mirror[node][0][c] = 0
+                for g in gpus:
+                    mirror[node][1][g] = 0
             continue
         mpi = rng.random() < 0.3
         c = rng.randint(1, 40 if mpi else 16)
@@ -89,7 +89,7 @@ def test_scheduler_matches_oracle_on_1000_instances():
         try:
             placement = allocate_continuous(td, sm)
             got = placement_as_plan(placement)
-            live.append(placement)
+            live.append((td.uid, placement))
         except NoFit:
             got = None
         assert got == expected, f"instance {i}"

@@ -220,6 +220,17 @@ class TestStaging:
         assert tasks["s1"].state == TaskState.FAILED
         assert "SourceMissing" in tasks["s1"].error
 
+    def test_unreadable_stage_in_source_names_its_cause(self, agent_env, tmp_path):
+        agent, hub, tracer = agent_env
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)  # copyfile refuses a named pipe before opening it
+        td = TaskDescription(uid="s2", executable="true", stage_in=((str(fifo), "x"),))
+        submit(agent, td)
+        tasks = wait_terminal(agent, ["s2"])
+        assert tasks["s2"].state == TaskState.FAILED
+        assert tasks["s2"].error.startswith("StageInFailed: "), tasks["s2"].error
+        assert "named pipe" in tasks["s2"].error
+
 
 class TestLifecycle:
     def test_staged_tasks_and_a_cancel(self, agent_env, tmp_path):
@@ -314,6 +325,9 @@ class TestCancel:
         assert "stage_in_stop" in {e.name for e in trace.events}
         for a in trace.attempts:
             assert (a.exec_start_us is None) == (a.exec_stop_us is None), a
+        # The cancel came first, so the staged task is never placed or started.
+        started = {"schedule_ok", "prepare_start", "exec_start"}
+        assert not [e for e in trace.events if e.name in started], trace.events
 
 
 class TestEvents:

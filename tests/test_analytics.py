@@ -138,8 +138,9 @@ class TestTtxAndTimelines:
             compute_ttx(trace)
 
     def test_parse_schedule_detail(self):
-        p, dvm, mpi = parse_schedule_detail("0:0,1:0;1:2,3:|dvm=3|mpi=1", "t")
-        assert p.total_cores == 4 and p.total_gpus == 1
+        p, dvm, mpi = parse_schedule_detail("0:0,1:0;1:2,3:|dvm=3|mpi=1")
+        assert sum(len(cores) for _, cores, _ in p) == 4
+        assert sum(len(gpus) for _, _, gpus in p) == 1
         assert dvm == 3 and mpi is True
 
 

@@ -14,7 +14,6 @@ from pilotkit.executor import (
     partition_dvms,
     spawn_local,
 )
-from pilotkit.scheduler import NodeAssignment, Placement
 
 from conftest import task
 
@@ -58,8 +57,7 @@ class TestPartition:
 
 class TestLaunchCommand:
     def placement(self):
-        return Placement(task_uid="t0", assignments=(
-            NodeAssignment(0, (0, 1), (0,)), NodeAssignment(1, (2,), ())))
+        return ((0, (0, 1), (0,)), (1, (2,), ()))
 
     def test_env_carries_slot_pins(self):
         td = task("t0", cores=3, gpus=1, mpi=True)
@@ -90,10 +88,8 @@ class TestLaunchCommand:
 class TestSpawnLocal:
     def cmd(self, *args):
         td = task("t0")
-        p = Placement(task_uid="t0", assignments=(NodeAssignment(0, (0,), ()),))
-        base = build_launch_command(td, p)
-        return base.__class__(program=sys.executable, args=tuple(args),
-                              env=base.env, pin=base.pin)
+        base = build_launch_command(td, ((0, (0,), ()),))
+        return base.__class__(program=sys.executable, args=tuple(args), env=base.env)
 
     def test_exit_code_zero(self, tmp_path):
         assert spawn_local(self.cmd("-c", "pass"), "t0") == 0
@@ -114,7 +110,7 @@ class TestSpawnLocal:
 
     def test_missing_program_raises(self):
         bad = self.cmd().__class__(program="/no/such/program", args=(),
-                                   env=(), pin="")
+                                   env=())
         with pytest.raises(SpawnFailure):
             spawn_local(bad, "t0")
 
@@ -125,7 +121,7 @@ class TestSpawnLocal:
     def test_emulator_runs_without_path_lookup(self):
         emu = self.cmd().__class__(program="pilotkit-emulate",
                                    args=("--duration", "0", "--exit-code", "3"),
-                                   env=(("PATH", ""),), pin="")
+                                   env=(("PATH", ""),))
         assert spawn_local(emu, "t0") == 3
 
     def test_register_receives_process_handle(self):

@@ -10,12 +10,13 @@ from hypothesis import given, settings, strategies as st
 from pilotkit.core import Fabric, PilotDescription, PilotkitError, build_node_list
 from pilotkit.scheduler import (
     NoFit,
-    Placement,
     Scheduler,
     SlotMap,
     UnknownPlacement,
     allocate_continuous,
     allocate_tagged,
+    format_placement,
+    parse_placement,
 )
 
 from conftest import task
@@ -78,8 +79,11 @@ def snapshot(sm):
 
 
 def placement_as_plan(p):
-    return [(a.node_index, list(a.core_indices), list(a.gpu_indices))
-            for a in p.assignments]
+    return [(node, list(cores), list(gpus)) for node, cores, gpus in p]
+
+
+def nodes_of(p):
+    return tuple(node for node, _, _ in p)
 
 
 # --- examples -----------------------------------------------------------
@@ -99,21 +103,21 @@ class TestContinuous:
     def test_non_mpi_single_assignment(self, sim_pilot):
         sm = SlotMap(build_node_list(sim_pilot(nodes=3, cores=4, gpus=1)))
         p = allocate_continuous(task("t", cores=2, gpus=1), sm)
-        assert len(p.assignments) == 1
+        assert len(p) == 1
 
     def test_gpu_on_same_node_as_cores(self, sim_pilot):
         sm = SlotMap(build_node_list(sim_pilot(nodes=2, cores=4, gpus=2)))
         p = allocate_continuous(task("t", cores=3, gpus=2, mpi=True), sm)
-        core_nodes = {a.node_index for a in p.assignments if a.core_indices}
-        gpu_nodes = {a.node_index for a in p.assignments if a.gpu_indices}
+        core_nodes = {node for node, cores, _ in p if cores}
+        gpu_nodes = {node for node, _, gpus in p if gpus}
         assert gpu_nodes <= core_nodes
 
     def test_lowest_index_tie_break(self, sim_pilot):
         sm = SlotMap(build_node_list(sim_pilot(nodes=2, cores=4)))
         p1 = allocate_continuous(task("a", cores=1), sm)
         p2 = allocate_continuous(task("b", cores=1), sm)
-        assert p1.assignments[0].node_index == 0
-        assert p2.assignments[0].core_indices == (1,)
+        assert nodes_of(p1) == (0,)
+        assert p2[0][1] == (1,)
 
 
 class TestTagged:
@@ -121,10 +125,10 @@ class TestTagged:
         sm = SlotMap(build_node_list(sim_pilot(nodes=2, cores=4)))
         tags = {}
         p1 = allocate_tagged(task("a", cores=2, tag="A"), sm, tags)
-        assert p1.assignments[0].node_index == 0
+        assert nodes_of(p1) == (0,)
         p2 = allocate_tagged(task("b", cores=2, tag="A"), sm, tags)
-        assert p2.assignments[0].node_index == 0
-        assert p2.assignments[0].core_indices == (2, 3)
+        assert nodes_of(p2) == (0,)
+        assert p2[0][1] == (2, 3)
 
     def test_pinned_nofit_despite_free_capacity(self, sim_pilot):
         sm = SlotMap(build_node_list(sim_pilot(nodes=2, cores=4)))
@@ -139,41 +143,43 @@ class TestTagged:
         tags = {}
         pa = allocate_tagged(task("a", cores=4, tag="A"), sm, tags)
         pb = allocate_tagged(task("b", cores=4, tag="B"), sm, tags)
-        assert set(pa.node_indices).isdisjoint(pb.node_indices)
+        assert set(nodes_of(pa)).isdisjoint(nodes_of(pb))
 
 
 class TestRelease:
     def test_allocate_release_restores_state(self, sim_pilot):
         sm = SlotMap(build_node_list(sim_pilot(nodes=2, cores=4, gpus=1)))
         before = snapshot(sm)
-        p = allocate_continuous(task("t", cores=3, gpus=1), sm)
-        sm.release(p)
+        allocate_continuous(task("t", cores=3, gpus=1), sm)
+        sm.release("t")
         assert snapshot(sm) == before
         assert sm.busy == {}
 
     def test_double_release(self, sim_pilot):
         sm = SlotMap(build_node_list(sim_pilot()))
-        p = allocate_continuous(task("t"), sm)
-        sm.release(p)
+        allocate_continuous(task("t"), sm)
+        sm.release("t")
         with pytest.raises(UnknownPlacement):
-            sm.release(p)
+            sm.release("t")
 
     def test_conservation(self, sim_pilot):
         sm = SlotMap(build_node_list(sim_pilot(nodes=3, cores=4, gpus=2)))
         rng = random.Random(0)
-        placements = []
+        placed = []
         for i in range(30):
-            if placements and rng.random() < 0.4:
-                sm.release(placements.pop(rng.randrange(len(placements))))
+            if placed and rng.random() < 0.4:
+                sm.release(placed.pop(rng.randrange(len(placed))))
             else:
                 try:
-                    placements.append(allocate_continuous(
-                        task(f"t{i}", cores=rng.randint(1, 4),
-                             gpus=rng.randint(0, 2)), sm))
+                    allocate_continuous(task(f"t{i}", cores=rng.randint(1, 4),
+                                             gpus=rng.randint(0, 2)), sm)
+                    placed.append(f"t{i}")
                 except NoFit:
                     pass
             free = sum(len(ids) for ids in sm._core_ids + sm._gpu_ids)
-            assert free + sm.busy_slot_count() == 3 * (4 + 2)
+            busy = sum(len(cores) + len(gpus)
+                       for p in sm.busy.values() for _, cores, gpus in p)
+            assert free + busy == 3 * (4 + 2)
 
 
 class TestWithdraw:
@@ -181,8 +187,8 @@ class TestWithdraw:
         sm = SlotMap(build_node_list(sim_pilot(nodes=3, cores=4, gpus=1)))
         sm.withdraw([0, 1])
         assert (sm.total_free_cores, sm.total_free_gpus) == (4, 1)
-        assert allocate_continuous(task("t", cores=1), sm).node_indices == (2,)
-        assert allocate_continuous(task("m", cores=3, mpi=True), sm).node_indices == (2,)
+        assert nodes_of(allocate_continuous(task("t", cores=1), sm)) == (2,)
+        assert nodes_of(allocate_continuous(task("m", cores=3, mpi=True), sm)) == (2,)
         with pytest.raises(NoFit):
             allocate_continuous(task("u", cores=1), sm)
 
@@ -198,10 +204,8 @@ class TestSchedulerLoop:
             if placed:
                 generations += 1
                 assert len(placed) <= 8
-            for _, p in placed:
-                pass
-            for p in list(sched.slot_map.busy.values()):
-                sched.complete(p)
+            for uid in list(sched.slot_map.busy):
+                sched.complete(uid)
         assert generations == 4
 
     def test_exact_fit_zero_wait(self, sim_pilot):
@@ -218,7 +222,7 @@ class TestSchedulerLoop:
         assert [td.uid for td, _ in placed] == ["big"]
         sched.submit(task("tiny", cores=0 + 1))
         assert sched.rescan() == []
-        sched.complete(sched.slot_map.busy["big"])
+        sched.complete("big")
         placed = sched.rescan()
         assert [td.uid for td, _ in placed] == ["small", "tiny"]
 
@@ -238,12 +242,35 @@ class TestSchedulerLoop:
                 sched.submit(task(f"t{i}", cores=rng.randint(1, 4)))
             while sched.waiting or sched.slot_map.busy:
                 for td, p in sched.rescan():
-                    seq.append((td.uid, p.serialize()))
-                busy = sorted(sched.slot_map.busy.values(), key=lambda p: p.task_uid)
+                    seq.append((td.uid, format_placement(p)))
+                busy = sorted(sched.slot_map.busy)
                 if busy:
                     sched.complete(busy[0])
             return seq
         assert run() == run()
+
+
+# --- text form ----------------------------------------------------------
+
+@pytest.mark.parametrize("text, placement", [
+    ("0:0,1:0;1:2,3:", ((0, (0, 1), (0,)), (1, (2, 3), ()))),
+    ("5:17:", ((5, (17,), ()),)),
+    ("3:0:0,1;7:4,5,6:", ((3, (0,), (0, 1)), (7, (4, 5, 6), ()))),
+])
+def test_placement_text_form(text, placement):
+    assert format_placement(placement) == text
+    assert parse_placement(text) == placement
+
+
+def _slots(top):
+    return st.lists(st.integers(0, top), unique=True).map(lambda ids: tuple(sorted(ids)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 4095), _slots(127), _slots(7)),
+                min_size=1, max_size=6).map(tuple))
+def test_placement_text_round_trip(placement):
+    assert parse_placement(format_placement(placement)) == placement
 
 
 # --- oracle equivalence -------------------------------------------------
@@ -285,13 +312,13 @@ def test_oracle_sweep_on_a_padded_index():
     live = []
     for i in range(3000):
         if live and rng.random() < 0.45:
-            placement = live.pop(rng.randrange(len(live)))
-            sm.release(placement)
-            for a in placement.assignments:
-                for c in a.core_indices:
-                    mirror[a.node_index][0][c] = 0
-                for g in a.gpu_indices:
-                    mirror[a.node_index][1][g] = 0
+            uid, placement = live.pop(rng.randrange(len(live)))
+            sm.release(uid)
+            for node, cores, gpus in placement:
+                for c in cores:
+                    mirror[node][0][c] = 0
+                for g in gpus:
+                    mirror[node][1][g] = 0
             continue
         mpi = rng.random() < 0.2
         c = rng.randint(1, 60 if mpi else 13)
@@ -301,7 +328,7 @@ def test_oracle_sweep_on_a_padded_index():
         try:
             placement = allocate_continuous(td, sm)
             got = placement_as_plan(placement)
-            live.append(placement)
+            live.append((td.uid, placement))
         except NoFit:
             got = None
         assert got == expected, f"instance {i}"
@@ -369,13 +396,13 @@ class ReferenceScheduler:
         self._reported.update(td.uid for td in self.newly_waiting)
         return placed
 
-    def complete(self, placement):
-        self.slot_map.release(placement)
+    def complete(self, uid):
+        self.slot_map.release(uid)
 
 
 def assert_same_rescan(sched, ref):
-    got = [(td.uid, p.serialize()) for td, p in sched.rescan()]
-    want = [(td.uid, p.serialize()) for td, p in ref.rescan()]
+    got = [(td.uid, p) for td, p in sched.rescan()]
+    want = [(td.uid, p) for td, p in ref.rescan()]
     assert got == want
     assert list(sched.waiting) == [td.uid for td in ref.waiting]
     assert [td.uid for td in sched.newly_waiting] == [td.uid for td in ref.newly_waiting]
@@ -392,8 +419,8 @@ def rescan_both(sim_pilot, rounds):
     placed = []
     for tds, done in rounds:
         for uid in done:
-            sched.complete(sched.slot_map.busy[uid])
-            ref.complete(ref.slot_map.busy[uid])
+            sched.complete(uid)
+            ref.complete(uid)
         for td in tds:
             sched.submit(td)
             ref.submit(td)
@@ -469,7 +496,7 @@ def test_rescan_matches_the_full_list_walk(data):
             assert_same_rescan(sched, ref)
         elif sched.slot_map.busy:
             uid = data.draw(st.sampled_from(sorted(sched.slot_map.busy)))
-            sched.complete(sched.slot_map.busy[uid])
-            ref.complete(ref.slot_map.busy[uid])
+            sched.complete(uid)
+            ref.complete(uid)
     assert_same_rescan(sched, ref)
     assert snapshot(sched.slot_map) == snapshot(ref.slot_map)

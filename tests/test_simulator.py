@@ -138,7 +138,7 @@ class TestFaultTolerance:
                                dvm_failures=[(0, 0.5)])
         t = tasks["t0"]
         assert t.state == TaskState.DONE
-        assert t.placement.node_indices == (1,)
+        assert [node for node, _, _ in t.placement] == [1]
         assert [e.detail for e in trace.by_name("schedule_ok")] == [
             "0:0:|dvm=0|mpi=0", "1:0:|dvm=1|mpi=0"]
         assert replay_check(trace) == []
@@ -211,12 +211,12 @@ class TestLauncherModel:
         tasks, trace = run_sim(pd, tds, tmp_path, seed=5,
                                dvm_failures=[(3, 1.0), (11, 1.0)])
         for e in trace.by_name("schedule_ok"):
-            placement, dvm_id, _ = parse_schedule_detail(e.detail, e.task_uid)
-            assert dvm_id == placement.assignments[0].node_index // 4, e
+            placement, dvm_id, _ = parse_schedule_detail(e.detail)
+            assert dvm_id == placement[0][0] // 4, e
         # A launch returned exactly when it was off the lost nodes.
         lost = set(range(12, 16)) | set(range(44, 48))
         for a in trace.attempts:
-            assert a.returned == lost.isdisjoint(a.placement.node_indices), a
+            assert a.returned == lost.isdisjoint(node for node, _, _ in a.placement), a
         assert concurrency_series(trace, 0.5).peak() <= pd.total_cores
         assert sum(t.state == TaskState.DONE for t in tasks.values()) == 256
         assert replay_check(trace) == []
@@ -249,7 +249,7 @@ class TestLauncherModel:
         stops = [e.ts_us for e in trace.by_name("exec_stop") if e.task_uid == "m"]
         assert stops == [1_000_000, 3_000_000]  # the lost launch ends at the loss
         assert tasks["m"].state == TaskState.DONE
-        assert tasks["m"].placement.node_indices == (0, 1)
+        assert [node for node, _, _ in tasks["m"].placement] == [0, 1]
         assert replay_check(trace) == []
         assert_partition_exact(trace, pd)
 
