@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
-from .core import PilotkitError, PilotDescription
+from .core import PilotkitError, PilotDescription, _gc_paused
 from .scheduler import Placement, parse_placement
 from .tracer import EVENTS, UNKNOWN_RANK
 
@@ -77,10 +77,10 @@ class Attempt:
                             self.exec_stop_us, self.end_us)
 
 
-# The stage events of a launch, each with the Attempt field it stamps.
-_LAUNCH_STAGES = {"prepare_start": "prep_us", "exec_start": "exec_start_us",
-                  "exec_stop": "exec_stop_us", "spawn_return": "end_us",
-                  "launch_lost": "end_us"}
+# The events of a launch, each with the Attempt field it sets.
+_LAUNCH_STAGES = {"schedule_ok": "sched_us", "prepare_start": "prep_us",
+                  "exec_start": "exec_start_us", "exec_stop": "exec_stop_us",
+                  "spawn_return": "end_us", "launch_lost": "end_us"}
 
 
 @dataclass
@@ -105,6 +105,7 @@ class Trace:
         return None
 
     @cached_property
+    @_gc_paused
     def attempts(self) -> list[Attempt]:
         """Every launch, in ``schedule_ok`` order, from one pass over the
         events. A stage event goes to the earliest launch of its task that
@@ -113,15 +114,16 @@ class Trace:
         task's next launch."""
         out: list[Attempt] = []
         by_uid: dict[str, list[Attempt]] = {}
+        stamp_of = _LAUNCH_STAGES.get
         for ts, _, name, uid, detail in self.events:
-            if name == "schedule_ok":
+            stamp = stamp_of(name)
+            if stamp == "sched_us":
                 placement, _, mpi = parse_schedule_detail(detail)
                 a = Attempt(uid, placement, mpi, ts)
                 out.append(a)
                 by_uid.setdefault(uid, []).append(a)
-            elif name in _LAUNCH_STAGES and uid in by_uid:
-                stamp = _LAUNCH_STAGES[name]
-                for a in by_uid[uid]:
+            elif stamp is not None:
+                for a in by_uid.get(uid, ()):
                     if getattr(a, stamp) is None:
                         setattr(a, stamp, ts)
                         if stamp == "end_us":
@@ -130,8 +132,10 @@ class Trace:
         return out
 
 
+@_gc_paused
 def load_session_traces(directory: str) -> Trace:
-    """Parse all component trace files, apply clock offsets, sort globally."""
+    """Parse all component trace files, apply clock offsets, sort globally.
+    Equal components, event names and task uids share one string object."""
     manifest_path = os.path.join(directory, "manifest.json")
     if not os.path.exists(manifest_path):
         raise ManifestMissing(f"no manifest.json in {directory}")
@@ -139,6 +143,8 @@ def load_session_traces(directory: str) -> Trace:
         manifest = json.load(fh)
     events: list[TraceEvent] = []
     corrupt = 0
+    share = {name: name for name in EVENTS}.setdefault
+    new = tuple.__new__  # builds a TraceEvent without its __new__'s Python frame
     for comp in manifest.get("components", []):
         path = os.path.join(directory, comp["file"])
         offset_us = round(comp.get("clock_offset_s", 0.0) * US)
@@ -146,20 +152,20 @@ def load_session_traces(directory: str) -> Trace:
             continue
         with open(path) as fh:
             for line in fh:
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split(",", 4)
+                parts = line.rstrip("\n").split(",", 4)
                 if len(parts) != 5:
-                    corrupt += 1
+                    corrupt += line != "\n"  # a blank line is no event
                     continue
+                ts, component, name, uid, detail = parts
                 try:
-                    parts[0] = round(float(parts[0]) * US) + offset_us
+                    ts_us = round(float(ts) * US) + offset_us
                 except ValueError:
                     corrupt += 1
                     continue
-                events.append(TraceEvent._make(parts))
-    events.sort(key=lambda e: (e.ts_us, EVENTS.get(e.name, UNKNOWN_RANK)))
+                events.append(new(TraceEvent, (ts_us, share(component, component),
+                                               share(name, name), share(uid, uid), detail)))
+    rank, ranks = EVENTS.get, max(EVENTS.values()) + 1
+    events.sort(key=lambda e: e[0] * ranks + rank(e[2], UNKNOWN_RANK))  # (ts_us, rank) order
     return Trace(events=events, manifest=manifest, corrupt_lines=corrupt)
 
 

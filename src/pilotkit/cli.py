@@ -71,6 +71,8 @@ def _cmd_analyze(args) -> int:
         report = compute_utilization(trace, pd)
         series = concurrency_and_rate_series(trace, args.bin_width)
         out = args.out or os.path.join(trace_dir, "analysis")
+        if args.out and len(trace_dirs) > 1:
+            out = os.path.join(args.out, pd.uid)  # one report per pilot
         files = emit_report(report, series, out, fmt=args.format)
         print(f"{trace_dir}: TTX {report.ttx_s:.3f} s, RU {report.ru_pct:.1f}%, "
               f"OVH {report.ovh_pct:.1f}% -> {', '.join(files)}")

@@ -20,6 +20,7 @@ from .core import (
     Task,
     TaskDescription,
     TaskState,
+    _gc_paused,
     advance_task_state,
     build_node_list,
 )
@@ -129,6 +130,7 @@ class SimAgent(AgentCore):
 
     # workload entry ------------------------------------------------------
 
+    @_gc_paused
     def run(self, tds: list[TaskDescription]) -> dict[str, Task]:
         """Execute the workload to completion; returns tasks by uid."""
         try:

@@ -1,3 +1,4 @@
+import gc
 import os
 import subprocess
 import sys
@@ -15,6 +16,17 @@ from pilotkit.core import (
     TaskDescription,
     TaskState,
 )
+
+
+@pytest.fixture
+def gc_restored():
+    """Puts the cyclic garbage collector back as the test found it."""
+    enabled = gc.isenabled()
+    yield
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
 
 
 @pytest.fixture

@@ -3,8 +3,10 @@ exact utilization accounting, series invariants, replay violation
 detection, and report emission."""
 
 import csv
+import gc
 import json
 import os
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,7 +30,11 @@ from pilotkit.analytics import (
     rate_series,
     replay_check,
 )
-from pilotkit.core import Fabric, PilotDescription
+from pilotkit.core import Fabric, LatencyModel, PilotDescription
+from pilotkit.simulator import SimAgent
+from pilotkit.tracer import EVENTS, UNKNOWN_RANK, Tracer
+
+from conftest import task
 
 
 def pilot(nodes=1, cores=2, gpus=0):
@@ -122,6 +128,111 @@ class TestLoad:
             "s": ["1.000000,s,schedule_ok,t0,0:0,1:|dvm=0|mpi=0"]})
         trace = load_session_traces(d)
         assert trace.events[0].detail == "0:0,1:|dvm=0|mpi=0"
+
+
+def reference_load(directory):
+    """The plain loader: split each line, integer microseconds with the
+    component's clock offset, a stable sort by (ts_us, rank)."""
+    with open(os.path.join(directory, "manifest.json")) as fh:
+        manifest = json.load(fh)
+    events, corrupt = [], 0
+    for comp in manifest["components"]:
+        offset_us = round(comp["clock_offset_s"] * US)
+        with open(os.path.join(directory, comp["file"])) as fh:
+            for line in fh.read().splitlines():
+                if not line:
+                    continue
+                parts = line.split(",", 4)
+                if len(parts) != 5:
+                    corrupt += 1
+                    continue
+                try:
+                    ts_us = round(float(parts[0]) * US) + offset_us
+                except ValueError:
+                    corrupt += 1
+                    continue
+                events.append(TraceEvent(ts_us, *parts[1:]))
+    events.sort(key=lambda e: (e.ts_us, EVENTS.get(e.name, UNKNOWN_RANK)))
+    return events, corrupt
+
+
+_names = st.sampled_from(sorted(EVENTS) + ["typo_event", "custom"])
+_event_lines = st.builds(
+    lambda k, comp, name, uid, detail: f"{k * 0.25:.6f},{comp},{name},{uid},{detail}",
+    st.integers(-4, 12), st.sampled_from(["agent", "executor", "x"]), _names,
+    st.sampled_from(["", "t0", "t1", "task.000002"]),
+    st.text(alphabet="0123456789:;,|=dvmpi", max_size=12))
+_corrupt_lines = st.sampled_from(["mangled", "", "1.0,a,b", "nan,a,b,c,d", "x,a,b,c,d"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(
+    st.sampled_from(["agent", "executor", "scheduler", "x"]),
+    st.tuples(st.lists(st.one_of(_event_lines, _corrupt_lines), max_size=25),
+              st.one_of(st.just(0.0), st.floats(-3.0, 3.0))),
+    min_size=1))
+def test_load_equals_plain_reference(tmp_path_factory, components):
+    """Shared timestamps, unknown names, corrupt lines and clock offsets of
+    either sign load as the plain reference does, with one string object
+    per distinct component, name and uid."""
+    d = write_session(tmp_path_factory.mktemp("s"),
+                      {c: lines for c, (lines, _) in components.items()},
+                      offsets={c: off for c, (_, off) in components.items()})
+    trace = load_session_traces(d)
+    events, corrupt = reference_load(d)
+    assert trace.events == events
+    assert all(type(e) is TraceEvent for e in trace.events)
+    assert trace.corrupt_lines == corrupt
+    for field in ("component", "name", "task_uid"):
+        first = {}
+        for e in trace.events:
+            value = getattr(e, field)
+            assert first.setdefault(value, value) is value
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_bulk_passes_leave_gc_state_as_found(tmp_path, gc_restored, enabled):
+    d = write_session(tmp_path, {"s": [
+        "1.000000,s,schedule_ok,t0,0:0:|dvm=0|mpi=0",
+        "1.000000,s,prepare_start,t0,0"]})
+    gc.enable() if enabled else gc.disable()
+    trace = load_session_traces(d)
+    assert gc.isenabled() is enabled
+    assert [a.prep_us for a in trace.attempts] == [US]
+    assert gc.isenabled() is enabled
+    # A pass that raises restores the state too.
+    (tmp_path / "s.csv").unlink()
+    (tmp_path / "s.csv").mkdir()
+    with pytest.raises(OSError):
+        load_session_traces(d)
+    assert gc.isenabled() is enabled
+    bad = Trace(events=[TraceEvent(0, "s", "schedule_ok", "t0", "garbage")], manifest={})
+    with pytest.raises(ValueError):
+        bad.attempts
+    assert gc.isenabled() is enabled
+
+
+def test_load_memory_per_event(tmp_path, sim_pilot):
+    """A loaded 8,192-task simulated trace keeps at most 200 B per event and
+    peaks at 260 B per event (tracemalloc, which counts deterministically).
+    A loader that copies every name and uid and sorts on tuple keys keeps
+    313 B and peaks at 382 B."""
+    pd = sim_pilot(nodes=64, cores=128,
+                   lm=LatencyModel(prepare_mean_s=0.037, ack_mean_s=0.135))
+    tracer = Tracer(str(tmp_path))
+    SimAgent(pd, tracer).run([task(f"t{i:06d}", duration=1.0) for i in range(8192)])
+    tracer.close()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        trace = load_session_traces(str(tmp_path))
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    n = len(trace.events)
+    assert n == 7 * 8192 + 5
+    assert retained / n <= 200
+    assert peak / n <= 260
 
 
 class TestTtxAndTimelines:

@@ -7,6 +7,8 @@ import os
 import pytest
 
 from pilotkit.cli import main
+from pilotkit.client import create_session
+from pilotkit.core import TaskDescription
 
 from conftest import run_console_script
 
@@ -89,6 +91,25 @@ class TestAnalyze:
         session_dir = self.run_session(tmp_path)
         trace_dir = os.path.join(session_dir, "pilots", "p0", "traces")
         assert main(["analyze", trace_dir, "--out", str(tmp_path / "a2")]) == 0
+
+    def test_analyze_two_pilots_writes_a_report_each(self, tmp_path, sim_pilot):
+        session = create_session(str(tmp_path / "wd"), seed=5)
+        pm = session.create_pilot_manager()
+        pm.submit_pilot(sim_pilot(uid="p1", nodes=1, cores=4))
+        pm.submit_pilot(sim_pilot(uid="p2", nodes=1, cores=8))
+        tm = session.create_task_manager()
+        handles = tm.submit_tasks([
+            TaskDescription(uid=f"t{i}", executable="pilotkit-emulate",
+                            arguments=["--duration", "0.5"]) for i in range(6)])
+        assert tm.wait_tasks(handles) == ["DONE"] * 6
+        session.close()
+        out_dir = tmp_path / "analysis"
+        assert main(["analyze", session.directory, "--out", str(out_dir)]) == 0
+        cores = {}
+        for uid in ("p1", "p2"):
+            with open(out_dir / uid / "summary.csv") as fh:
+                cores[uid] = int(list(csv.DictReader(fh))[0]["cores"])
+        assert cores == {"p1": 4, "p2": 8}
 
     def test_analyze_missing_dir(self, tmp_path, capsys):
         assert main(["analyze", str(tmp_path / "nope")]) == 1

@@ -1,6 +1,7 @@
 """Simulated-fabric agent: exactness under zero latency, lifecycle event
 order, latency recovery, launcher fault tolerance, and determinism."""
 
+import gc
 import hashlib
 import os
 import random
@@ -300,6 +301,21 @@ class TestDeterminism:
             tasks, trace = run_sim(pd, [task("t0", duration=0.5)], d, seed=seed)
             results.append(compute_ttx(trace))
         assert results[0] != results[1]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_run_leaves_gc_state_as_found(sim_pilot, tmp_path, monkeypatch, gc_restored,
+                                      enabled):
+    gc.enable() if enabled else gc.disable()
+    run_sim(sim_pilot(nodes=1, cores=2), [task("t0", duration=0.5)], tmp_path)
+    assert gc.isenabled() is enabled
+    # A run that raises restores the state too.
+    agent = SimAgent(sim_pilot(nodes=1, cores=2), Tracer(str(tmp_path / "b")))
+    monkeypatch.setattr(agent, "_rescan", lambda: 1 / 0)
+    with pytest.raises(ZeroDivisionError):
+        agent.run([task("t0", duration=0.5)])
+    agent.tracer.close()
+    assert gc.isenabled() is enabled
 
 
 def assert_partition_exact(trace, pd):
