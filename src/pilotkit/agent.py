@@ -56,9 +56,9 @@ _END_EVENTS = {
 class AgentCore:
     """Task lifecycle of one pilot, shared by the local and simulated agents.
 
-    A backend supplies the clock (``_now``), trace emission (``_emit``),
-    data staging (``_stage``) and the launch of a placed task (``_launch``);
-    it reports a launched task's return through ``_returned``.
+    A backend supplies trace emission (``_emit``), data staging
+    (``_stage``) and the launch of a placed task (``_launch``); it reports a
+    launched task's return through ``_returned``.
     """
 
     def __init__(self, pd: PilotDescription, tracer: Tracer, node_list: NodeList):
@@ -70,9 +70,6 @@ class AgentCore:
         self._dirty = False  # slots freed or tasks queued since the last rescan
 
     # backend hooks -------------------------------------------------------
-
-    def _now(self) -> float:
-        return self.tracer.now()
 
     def _emit(self, component: str, name: str, uid: str | None = None,
               detail: str | None = None):
@@ -93,9 +90,6 @@ class AgentCore:
 
     # lifecycle -----------------------------------------------------------
 
-    def _advance(self, task: Task, state: TaskState):
-        advance_task_state(task, state, self._now())
-
     def _pull(self, td: TaskDescription):
         """Take a submitted task: validate, stage in, queue for placement.
         A task whose uid was pulled before fails validation and is kept
@@ -104,7 +98,7 @@ class AgentCore:
         duplicate = td.uid in self.tasks
         if not duplicate:
             self.tasks[td.uid] = task
-        self._advance(task, TaskState.AGENT_PULLED)
+        advance_task_state(task, TaskState.AGENT_PULLED)
         self._emit("agent", "db_bridge_pull", td.uid)
         try:
             if duplicate:
@@ -114,7 +108,7 @@ class AgentCore:
             self._reject(task, str(exc))
             return
         if td.stage_in:
-            self._advance(task, TaskState.STAGING_IN)
+            advance_task_state(task, TaskState.STAGING_IN)
             try:
                 self._stage(td, "in")
             except OSError as exc:
@@ -139,7 +133,7 @@ class AgentCore:
         for td, placement in scheduler.rescan():
             task = self.tasks[td.uid]
             if task.placement is None:  # a stranded task placed again keeps its state
-                self._advance(task, TaskState.SCHEDULED)
+                advance_task_state(task, TaskState.SCHEDULED)
             task.placement = placement
             self._launch(task)
         for td in scheduler.newly_waiting:
@@ -161,7 +155,7 @@ class AgentCore:
         td = task.description
         state = TaskState.DONE if ok else TaskState.FAILED
         if ok and td.stage_out:
-            self._advance(task, TaskState.STAGING_OUT)
+            advance_task_state(task, TaskState.STAGING_OUT)
             try:
                 self._stage(td, "out")
             except OSError as exc:
@@ -172,7 +166,7 @@ class AgentCore:
 
     def _end(self, task: Task, state: TaskState, error: str | None = None):
         task.error = error
-        self._advance(task, state)
+        advance_task_state(task, state)
         uid = task.description.uid
         self._emit("agent", _END_EVENTS[state], uid, error)
         if self.tasks.get(uid) is task:  # a refused duplicate's uid is not its own
@@ -378,7 +372,7 @@ class LocalAgent(AgentCore):
         with self._lock:
             if task.state == TaskState.CANCELED:
                 raise SpawnFailure(f"task {task.uid!r}: canceled before start")
-            self._advance(task, TaskState.EXECUTING)
+            advance_task_state(task, TaskState.EXECUTING)
         self._emit("executor", "exec_start", uid=task.uid)
 
     def _run_executable(self, task: Task, runner: _Running) -> int:

@@ -134,7 +134,7 @@ class Trace:
 
 @_gc_paused
 def load_session_traces(directory: str) -> Trace:
-    """Parse all component trace files, apply clock offsets, sort globally.
+    """Parse all component trace files and sort their events globally.
     Equal components, event names and task uids share one string object."""
     manifest_path = os.path.join(directory, "manifest.json")
     if not os.path.exists(manifest_path):
@@ -147,7 +147,6 @@ def load_session_traces(directory: str) -> Trace:
     new = tuple.__new__  # builds a TraceEvent without its __new__'s Python frame
     for comp in manifest.get("components", []):
         path = os.path.join(directory, comp["file"])
-        offset_us = round(comp.get("clock_offset_s", 0.0) * US)
         if not os.path.exists(path):
             continue
         with open(path) as fh:
@@ -158,7 +157,7 @@ def load_session_traces(directory: str) -> Trace:
                     continue
                 ts, component, name, uid, detail = parts
                 try:
-                    ts_us = round(float(ts) * US) + offset_us
+                    ts_us = round(float(ts) * US)
                 except ValueError:
                     corrupt += 1
                     continue
@@ -310,11 +309,19 @@ class TimeSeries:
         return max((v for _, v in self.values), default=0.0)
 
 
+def bin_width_us(bin_width_s: float) -> int:
+    """A series bin width in whole microseconds; ValueError below 1 us."""
+    if not math.isfinite(bin_width_s) or round(bin_width_s * US) < 1:
+        raise ValueError(f"bin width must be at least 1 us, got {bin_width_s!r} s")
+    return round(bin_width_s * US)
+
+
 def concurrency_series(trace: Trace, bin_width_s: float,
                        start_name: str = "exec_start",
                        stop_name: str = "exec_stop") -> TimeSeries:
     """Time-weighted average concurrency per bin; integrates to the total
     active time exactly."""
+    width_us = bin_width_us(bin_width_s)
     deltas: list[tuple[int, int]] = []
     for e in trace.events:
         if e.name == start_name:
@@ -326,7 +333,6 @@ def concurrency_series(trace: Trace, bin_width_s: float,
     deltas.sort()
     t0 = deltas[0][0]
     t_end = deltas[-1][0]
-    width_us = round(bin_width_s * US)
     nbins = max(1, math.ceil((t_end - t0) / width_us)) if t_end > t0 else 1
     occupancy = [0] * nbins  # integral of concurrency over each bin, in us
     level = 0
@@ -350,11 +356,11 @@ def concurrency_series(trace: Trace, bin_width_s: float,
 def rate_series(trace: Trace, bin_width_s: float,
                 event_name: str = "spawn_return") -> TimeSeries:
     """Completion rate per bin; rate x bin_width integrates to event count."""
+    width_us = bin_width_us(bin_width_s)
     stamps = [e.ts_us for e in trace.events if e.name == event_name]
     if not stamps:
         return TimeSeries(bin_width_s, 0.0, [])
     t0 = stamps[0]
-    width_us = round(bin_width_s * US)
     nbins = (stamps[-1] - t0) // width_us + 1
     counts = [0] * nbins
     for ts in stamps:
@@ -410,8 +416,8 @@ def replay_check(trace: Trace) -> list[str]:
 
 
 def emit_report(report: UtilizationReport, series: tuple[TimeSeries, TimeSeries] | None,
-                out_dir: str, fmt: str = "csv") -> list[str]:
-    """Write summary, breakdown and series files; optionally render plots."""
+                out_dir: str) -> list[str]:
+    """Write summary, breakdown and series files."""
     try:
         os.makedirs(out_dir, exist_ok=True)
         written = []
@@ -443,45 +449,6 @@ def emit_report(report: UtilizationReport, series: tuple[TimeSeries, TimeSeries]
                     w.writerow(["%.6f" % t, "%.6f" % conc_map.get(t, 0.0),
                                 "%.6f" % rate_map.get(t, 0.0)])
             written.append(series_path)
-        if fmt == "plot":
-            written.extend(_render_plots(report, series, out_dir))
         return written
     except OSError as exc:
         raise UnwritableOutput(str(exc)) from exc
-
-
-def _render_plots(report, series, out_dir) -> list[str]:
-    try:
-        import matplotlib
-        matplotlib.use("Agg")
-        import matplotlib.pyplot as plt
-    except ImportError:
-        return []
-    written = []
-    fig, ax = plt.subplots()
-    cats = [c for c in CATEGORIES]
-    ax.bar(cats, [report.breakdown.get(c, 0.0) for c in cats])
-    ax.set_ylabel("core-seconds")
-    ax.set_title("utilization breakdown")
-    plt.xticks(rotation=45, ha="right")
-    path = os.path.join(out_dir, "utilization.png")
-    fig.tight_layout()
-    fig.savefig(path)
-    plt.close(fig)
-    written.append(path)
-    if series is not None:
-        conc, rate = series
-        fig, (ax1, ax2) = plt.subplots(2, 1, sharex=True)
-        if conc.values:
-            ax1.plot(*zip(*conc.values))
-        ax1.set_ylabel("concurrency")
-        if rate.values:
-            ax2.plot(*zip(*rate.values))
-        ax2.set_ylabel("tasks/s")
-        ax2.set_xlabel("time (s)")
-        path = os.path.join(out_dir, "series.png")
-        fig.tight_layout()
-        fig.savefig(path)
-        plt.close(fig)
-        written.append(path)
-    return written

@@ -9,24 +9,38 @@ import os
 import sys
 
 from .analytics import (
+    bin_width_us,
     compute_utilization,
     concurrency_and_rate_series,
     emit_report,
     load_session_traces,
 )
 from .client import Session
-from .core import PilotDescription, TaskDescription, load_pilot_profile
+from .core import PilotDescription, TaskDescription, ValidationError, load_pilot_profile
 from .harness import ExperimentSpec, run_experiment
 
 
-def _cmd_run(args) -> int:
-    with open(args.config) as fh:
+def _read(path: str, read):
+    """``read(path)``; a malformed input file exits 2, as a usage error does."""
+    try:
+        return read(path)
+    except (OSError, ValueError, KeyError, TypeError, ValidationError) as exc:
+        print(f"pilotkit: error: {path}: {type(exc).__name__}: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
+
+
+def _read_workload(path: str):
+    with open(path) as fh:
         cfg = json.load(fh)
     if "pilot_profile" in cfg:
         pd = load_pilot_profile(cfg["pilot_profile"])
     else:
         pd = PilotDescription.from_dict(cfg["pilot"])
-    tds = [TaskDescription.from_dict(d) for d in cfg["tasks"]]
+    return cfg, pd, [TaskDescription.from_dict(d) for d in cfg["tasks"]]
+
+
+def _cmd_run(args) -> int:
+    cfg, pd, tds = _read(args.config, _read_workload)
     session = Session(args.workdir, seed=int(cfg.get("seed", 0)))
     try:
         pm = session.create_pilot_manager()
@@ -73,20 +87,28 @@ def _cmd_analyze(args) -> int:
         out = args.out or os.path.join(trace_dir, "analysis")
         if args.out and len(trace_dirs) > 1:
             out = os.path.join(args.out, pd.uid)  # one report per pilot
-        files = emit_report(report, series, out, fmt=args.format)
+        files = emit_report(report, series, out)
         print(f"{trace_dir}: TTX {report.ttx_s:.3f} s, RU {report.ru_pct:.1f}%, "
               f"OVH {report.ovh_pct:.1f}% -> {', '.join(files)}")
     return status
 
 
 def _cmd_experiment(args) -> int:
-    spec = ExperimentSpec.from_file(args.spec)
+    spec = _read(args.spec, ExperimentSpec.from_file)
     rows = run_experiment(spec, args.out)
     failures = [r for r in rows if "error" in r]
     for r in failures:
         print(f"cell {r['cell']} rep {r['rep']} failed: {r['error']}", file=sys.stderr)
     print(f"summary: {os.path.join(args.out, 'summary.csv')}")
     return 1 if failures else 0
+
+
+def _bin_width(text: str) -> float:
+    try:
+        bin_width_us(float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return float(text)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -100,8 +122,7 @@ def main(argv: list[str] | None = None) -> int:
 
     p_an = sub.add_parser("analyze", help="compute metrics from session traces")
     p_an.add_argument("session_dir")
-    p_an.add_argument("--bin-width", type=float, default=1.0)
-    p_an.add_argument("--format", choices=("csv", "plot"), default="csv")
+    p_an.add_argument("--bin-width", type=_bin_width, default=1.0)
     p_an.add_argument("--out", default=None)
     p_an.set_defaults(fn=_cmd_analyze)
 

@@ -160,7 +160,6 @@ class Session:
             uid = f"session_{stamp}_{suffix}"
         self.uid = uid
         self.seed = seed
-        self.rng = random.Random(seed)
         self.directory = os.path.join(workdir, uid)
         os.makedirs(self.directory, exist_ok=True)
         self.trace_enabled = trace_enabled

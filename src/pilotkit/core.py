@@ -6,7 +6,7 @@ import functools
 import gc
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 
 
@@ -168,7 +168,6 @@ class PilotDescription:
     nodes: int = 1
     cores_per_node: int = 1
     gpus_per_node: int = 0
-    walltime_s: float = 3600.0
     dvm_max_nodes: int = 256
     latency_model: LatencyModel = field(default_factory=LatencyModel)
     bootstrap_s: float = 0.1
@@ -184,8 +183,6 @@ class PilotDescription:
             raise ValidationError("cores_per_node must be >= 1")
         if self.gpus_per_node < 0:
             raise ValidationError("gpus_per_node must be >= 0")
-        if self.walltime_s <= 0:
-            raise ValidationError("walltime_s must be positive")
         if self.dvm_max_nodes < 1:
             raise ValidationError("dvm_max_nodes must be >= 1")
         if self.bootstrap_s < 0:
@@ -211,39 +208,29 @@ class PilotDescription:
         return self.nodes * self.gpus_per_node
 
     def to_dict(self) -> dict:
-        d = {
+        return {
             "uid": self.uid,
             "fabric": self.fabric.value,
             "nodes": self.nodes,
             "cores_per_node": self.cores_per_node,
             "gpus_per_node": self.gpus_per_node,
-            "walltime_s": self.walltime_s,
             "dvm_max_nodes": self.dvm_max_nodes,
             "bootstrap_s": self.bootstrap_s,
             "teardown_s": self.teardown_s,
             "oversubscribe": self.oversubscribe,
-            "latency_model": {
-                "prepare_mean_s": self.latency_model.prepare_mean_s,
-                "prepare_std_s": self.latency_model.prepare_std_s,
-                "ack_mean_s": self.latency_model.ack_mean_s,
-                "ack_std_s": self.latency_model.ack_std_s,
-                "ack_scale_exponent": self.latency_model.ack_scale_exponent,
-            },
+            "latency_model": asdict(self.latency_model),
         }
-        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "PilotDescription":
-        lm = d.get("latency_model", {})
         return cls(
             uid=d["uid"],
             fabric=Fabric(d.get("fabric", "local")),
             nodes=int(d.get("nodes", 1)),
             cores_per_node=int(d.get("cores_per_node", 1)),
             gpus_per_node=int(d.get("gpus_per_node", 0)),
-            walltime_s=float(d.get("walltime_s", 3600.0)),
             dvm_max_nodes=int(d.get("dvm_max_nodes", 256)),
-            latency_model=LatencyModel(**lm) if lm else LatencyModel(),
+            latency_model=LatencyModel(**(d.get("latency_model") or {})),
             bootstrap_s=float(d.get("bootstrap_s", 0.1)),
             teardown_s=float(d.get("teardown_s", 0.05)),
             oversubscribe=bool(d.get("oversubscribe", False)),
@@ -313,7 +300,6 @@ class Task:
     placement: object | None = None  # scheduler.Placement once SCHEDULED
     exit_code: int | None = None
     error: str | None = None
-    timestamps: dict[str, float] = field(default_factory=dict)
 
     @property
     def uid(self) -> str:
@@ -339,8 +325,8 @@ _SUCCESSORS = {(s, i, o): _successors(s, i, o)
                for s in TaskState for i in (False, True) for o in (False, True)}
 
 
-def advance_task_state(task: Task, next_state: TaskState, now: float) -> Task:
-    """Advance a task to its next lifecycle state, stamping the time.
+def advance_task_state(task: Task, next_state: TaskState) -> Task:
+    """Advance a task to its next lifecycle state.
 
     The only place that changes a task's state; raises IllegalTransition
     for any step the lifecycle does not allow.
@@ -349,7 +335,6 @@ def advance_task_state(task: Task, next_state: TaskState, now: float) -> Task:
     if next_state not in _SUCCESSORS[task.state, bool(td.stage_in), bool(td.stage_out)]:
         raise IllegalTransition(f"task {task.uid!r}: {task.state.value} -> {next_state.value}")
     task.state = next_state
-    task.timestamps[next_state._value_] = now
     return task
 
 

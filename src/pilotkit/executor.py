@@ -10,10 +10,9 @@ import os
 import subprocess
 import sys
 from dataclasses import dataclass, field
-from enum import Enum
 
 from . import emulator
-from .core import LatencyModel, NodeList, PilotkitError, TaskDescription, TaskKind
+from .core import NodeList, PilotkitError, TaskDescription, TaskKind
 from .scheduler import Placement
 
 # The built-in workload stand-in. Spawning it always runs this package's own
@@ -31,35 +30,22 @@ class UnsupportedKind(PilotkitError):
     pass
 
 
-class DvmState(str, Enum):
-    BOOTING = "booting"
-    READY = "ready"
-    FAILED = "failed"
-
-
 @dataclass
 class Dvm:
     id: int
     node_indices: tuple[int, ...]
-    state: DvmState = DvmState.BOOTING
-    latency_model: LatencyModel = field(default_factory=LatencyModel)
-    # uid -> its launch, for the tasks launched and not yet returned, in
-    # launch order
+    lost: bool = False
+    # uid -> its launch, in launch order, for the tasks not yet returned
     inflight: dict[str, object] = field(default_factory=dict)
 
 
-def partition_dvms(node_list: NodeList, max_nodes_per_dvm: int,
-                   latency_model: LatencyModel | None = None) -> list[Dvm]:
+def partition_dvms(node_list: NodeList, max_nodes_per_dvm: int) -> list[Dvm]:
     """Partition nodes into ceil(n/max) DVMs of consecutive index ranges."""
     if max_nodes_per_dvm < 1:
         raise ValueError("max_nodes_per_dvm must be >= 1")
-    lm = latency_model or LatencyModel()
-    n = len(node_list)
-    dvms = []
-    for i, start in enumerate(range(0, n, max_nodes_per_dvm)):
-        stop = min(start + max_nodes_per_dvm, n)
-        dvms.append(Dvm(id=i, node_indices=tuple(range(start, stop)), latency_model=lm))
-    return dvms
+    nodes = range(len(node_list))
+    return [Dvm(id=i, node_indices=tuple(nodes[start:start + max_nodes_per_dvm]))
+            for i, start in enumerate(range(0, len(nodes), max_nodes_per_dvm))]
 
 
 @dataclass(frozen=True)

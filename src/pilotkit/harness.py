@@ -13,7 +13,7 @@ import json
 import os
 import random
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .analytics import compute_utilization, load_session_traces
 from .client import Session
@@ -59,7 +59,11 @@ class ExperimentSpec:
     @classmethod
     def from_file(cls, path: str) -> "ExperimentSpec":
         with open(path) as fh:
-            return cls(**json.load(fh))
+            spec = json.load(fh)
+        unknown = sorted(set(spec) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown spec keys: {', '.join(unknown)}")
+        return cls(**spec)
 
 
 def _draw(spec_value, rng: random.Random) -> int:

@@ -24,7 +24,7 @@ from .core import (
     advance_task_state,
     build_node_list,
 )
-from .executor import DvmState, partition_dvms
+from .executor import partition_dvms
 from .tracer import Tracer
 
 
@@ -71,7 +71,7 @@ class SimAgent(AgentCore):
     launch is the tuple ``(uid, DVM id, DVM id as text, stage times, first
     sequence number)`` and has one entry at a time on a virtual-clock heap,
     which pops once per stage (prepare_start, exec_start, exec_stop,
-    spawn_return) at times drawn from the DVM's latency model. A launch takes four consecutive sequence
+    spawn_return) at times drawn from the pilot's latency model. A launch takes four consecutive sequence
     numbers, and each popped stage queues the next with the following one,
     so that events pop in (time, sequence) order as if all four had been
     queued at the launch.
@@ -95,7 +95,7 @@ class SimAgent(AgentCore):
         super().__init__(pd, tracer, build_node_list(pd))
         self.rng = random.Random(seed)
         self.dvm_failures = list(dvm_failures or [])
-        self.dvms = partition_dvms(self.node_list, pd.dvm_max_nodes, pd.latency_model)
+        self.dvms = partition_dvms(self.node_list, pd.dvm_max_nodes)
         self._owner = [dvm for dvm in self.dvms for _ in dvm.node_indices]  # by node
         self._heap: list = []  # (time, seq, stage, launch), or (time, seq, LOST, DVM id)
         self._seq = 0
@@ -105,12 +105,6 @@ class SimAgent(AgentCore):
         self.now = 0.0
 
     # backend hooks -------------------------------------------------------
-
-    def _now(self) -> float:
-        return self.now
-
-    def _advance(self, task: Task, state: TaskState):
-        advance_task_state(task, state, self.now)
 
     def _emit(self, component: str, name: str, uid: str | None = None,
               detail: str | None = None):
@@ -146,7 +140,6 @@ class SimAgent(AgentCore):
             self._emit("executor", "dvm_boot", detail=str(dvm.id))
         self.now = pd.bootstrap_s
         for dvm in self.dvms:
-            dvm.state = DvmState.READY
             self._emit("executor", "dvm_ready", detail=str(dvm.id))
         self._emit("agent", "agent_ready", detail=pd.uid)
         heap = self._heap
@@ -193,7 +186,7 @@ class SimAgent(AgentCore):
         td = task.description
         dvm = self._owner[task.placement[0][0]]
         self._schedule_ok(task, f"|dvm={dvm.id}")
-        lm = dvm.latency_model
+        lm = self.pd.latency_model
         prepare = lm.sample_prepare(self.rng)
         duration = sim_duration(td, self.rng)
         ack = lm.sample_ack(self.rng, len(dvm.inflight))
@@ -212,7 +205,7 @@ class SimAgent(AgentCore):
         if stage == 1:
             # A task placed again after a lost DVM may already be EXECUTING.
             if task.state is not _EXECUTING:
-                self._advance(task, _EXECUTING)
+                advance_task_state(task, _EXECUTING)
         elif stage == 3:
             del self.dvms[dvm_id].inflight[uid]
             self._returned(task, True, 0, detail=detail)
@@ -224,9 +217,9 @@ class SimAgent(AgentCore):
         at its time. The tasks with a slot on those nodes are stranded in
         placement order, and the nodes are withdrawn."""
         dvm = self.dvms[dvm_id]
-        if dvm.state != DvmState.READY:
+        if dvm.lost:
             return
-        dvm.state = DvmState.FAILED
+        dvm.lost = True
         self._emit("executor", "dvm_failed", detail=str(dvm_id))
         lost = set(dvm.node_indices)
         slot_map = self.scheduler.slot_map

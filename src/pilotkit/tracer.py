@@ -2,8 +2,8 @@
 
 Trace format: one event per line, ``timestamp,component,event_name,task_uid,detail``
 with timestamps as decimal seconds at microsecond precision. One file per
-component; a ``manifest.json`` records components, event counts, clock offsets,
-the session seed and a config snapshot.
+component; a ``manifest.json`` records components, event counts, the session
+seed and a config snapshot. All components share one clock: no offsets.
 """
 
 from __future__ import annotations
@@ -73,13 +73,12 @@ class Tracer:
         self.directory = directory
         self.enabled = enabled
         self.buffer_events = buffer_events
-        self._clock = clock  # callable returning seconds; default: monotonic since open
-        self._t0 = time.monotonic()
+        t0 = time.monotonic()  # the default clock reads seconds since open
+        self._clock = clock or (lambda: time.monotonic() - t0)
         self._lock = threading.Lock()
         self._buffers: dict[str, list[str]] = {}
         self._counts: dict[str, int] = {}
         self._last_ts: dict[str, float] = {}
-        self._offsets: dict[str, float] = {}
         self.rejected = 0
         self.unknown_names = 0
         self.io_errors = 0
@@ -88,22 +87,13 @@ class Tracer:
         if enabled:
             os.makedirs(directory, exist_ok=True)
 
-    def now(self) -> float:
-        if self._clock is not None:
-            return self._clock()
-        return time.monotonic() - self._t0
-
-    def set_offset(self, component: str, offset_s: float):
-        """Record a per-component clock offset for the manifest."""
-        self._offsets[component] = offset_s
-
     def emit(self, component: str, event_name: str, task_uid: str | None = None,
              detail: str | None = None, timestamp: float | None = None):
         if not self.enabled or self._closed:
             return
         with self._lock:
             if timestamp is None:
-                timestamp = self.now()
+                timestamp = self._clock()
             else:
                 last = self._last_ts.get(component)
                 if last is not None and timestamp < last:
@@ -179,12 +169,7 @@ class Tracer:
         self.flush()
         manifest = {
             "components": [
-                {
-                    "name": c,
-                    "file": f"{c}.csv",
-                    "events": n,
-                    "clock_offset_s": self._offsets.get(c, 0.0),
-                }
+                {"name": c, "file": f"{c}.csv", "events": n}
                 for c, n in sorted(self._counts.items())
             ],
             "rejected_events": self.rejected,
@@ -199,11 +184,6 @@ class Tracer:
         except OSError:
             self.io_errors += 1
         self._closed = True
-
-    def event_count(self, component: str | None = None) -> int:
-        if component is None:
-            return sum(self._counts.values())
-        return self._counts.get(component, 0)
 
 
 class NullTracer(Tracer):

@@ -2,11 +2,13 @@ import gc
 import os
 import subprocess
 import sys
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
 
 import pilotkit
+from pilotkit import agent, simulator
 from pilotkit.core import (
     LIFECYCLE,
     TERMINAL_STATES,
@@ -14,7 +16,7 @@ from pilotkit.core import (
     LatencyModel,
     PilotDescription,
     TaskDescription,
-    TaskState,
+    advance_task_state,
 )
 
 
@@ -55,18 +57,32 @@ def task(uid, cores=1, gpus=0, mpi=False, duration=0.0, tag=None, **kw):
         cores_per_task=cores, gpus_per_task=gpus, uses_mpi=mpi, tag=tag, **kw)
 
 
-def assert_lifecycle(t):
-    """The states a task visited (its timestamps, in visit order) follow
-    LIFECYCLE order with non-decreasing times and end in exactly one
-    terminal state: the task's current one."""
-    order = {s.value: i for i, s in enumerate(LIFECYCLE)}
-    visited = list(t.timestamps)
-    terminal = [s for s in visited if TaskState(s) in TERMINAL_STATES]
-    assert terminal == [t.state.value] == visited[-1:], (t.uid, visited)
-    path = [order[s] for s in visited if s in order]
-    assert path == sorted(set(path)), (t.uid, visited)
-    stamps = list(t.timestamps.values())
-    assert stamps == sorted(stamps), (t.uid, t.timestamps)
+@pytest.fixture
+def state_paths(monkeypatch):
+    """Records every state change the agents make: task uid -> the states
+    it was advanced to, in order. Wraps ``advance_task_state`` where the
+    local and simulated agents call it."""
+    paths = defaultdict(list)
+
+    def recording(task, state):
+        advance_task_state(task, state)
+        paths[task.uid].append(state)
+        return task
+
+    monkeypatch.setattr(agent, "advance_task_state", recording)
+    monkeypatch.setattr(simulator, "advance_task_state", recording)
+    return paths
+
+
+def assert_lifecycle(t, paths):
+    """The states task ``t`` was advanced to, as ``state_paths`` recorded
+    them, follow LIFECYCLE order and end in exactly one terminal state: the
+    task's current one."""
+    visited = paths[t.uid]
+    terminal = [s for s in visited if s in TERMINAL_STATES]
+    assert terminal == [t.state] == visited[-1:], (t.uid, visited)
+    order = [LIFECYCLE.index(s) for s in visited if s in LIFECYCLE]
+    assert order == sorted(set(order)), (t.uid, visited)
 
 
 def run_console_script(name, *args):

@@ -56,10 +56,25 @@ def run_traced(pd, tds, trace_dir, seed=0, **kw):
     return tasks, load_session_traces(str(trace_dir))
 
 
-def sim_ttx(tasks):
-    """TTX from task timestamps (no trace round-trip needed)."""
-    return (max(t.timestamps["DONE"] for t in tasks.values())
-            - min(t.timestamps["AGENT_PULLED"] for t in tasks.values()))
+def sim_ttx(agent):
+    """TTX from the agent's virtual clock, no trace round-trip needed: every
+    task is pulled at agent readiness, bootstrap_s, and the clock stops
+    teardown_s after the last event, which is the last task's end when no
+    launcher is lost."""
+    return agent.now - agent.pd.teardown_s - agent.pd.bootstrap_s
+
+
+def test_virtual_clock_ttx_equals_trace_ttx(tmp_path):
+    lm = LatencyModel(prepare_mean_s=0.037, prepare_std_s=0.01,
+                      ack_mean_s=0.135, ack_std_s=0.107, ack_scale_exponent=0.5)
+    pd = sim_pd(nodes=4, cores=8, lm=lm, bootstrap_s=0.7, teardown_s=0.3)
+    tds = [task(f"t{i:03d}", duration=1.0) for i in range(100)]
+    tracer = Tracer(str(tmp_path / "tr"))
+    agent = SimAgent(pd, tracer, seed=1)
+    agent.run(tds)
+    tracer.close()
+    trace = load_session_traces(str(tmp_path / "tr"))
+    assert sim_ttx(agent) == pytest.approx(compute_ttx(trace), abs=1e-6)
 
 
 # 1. scheduler equivalence against the brute-force oracle -----------------
@@ -156,7 +171,7 @@ def test_weak_scaling_flat_without_latency_rising_with_ack_model():
             agent = SimAgent(pd, NullTracer(), seed=1)
             tasks = agent.run(tds)
             assert all(t.state == TaskState.DONE for t in tasks.values())
-            ttxs.append(sim_ttx(tasks))
+            ttxs.append(sim_ttx(agent))
         return ttxs
 
     flat = run(LatencyModel())
@@ -181,7 +196,7 @@ def test_strong_scaling_generations_and_ttx_ratio():
         agent = SimAgent(pd, NullTracer(), seed=2)
         tasks = agent.run(tds)
         assert all(t.state == TaskState.DONE for t in tasks.values())
-        ttx = sim_ttx(tasks)
+        ttx = sim_ttx(agent)
         assert round(ttx / duration) == expect_gen
         results.append(ttx)
     base = results[2]

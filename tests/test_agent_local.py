@@ -233,7 +233,7 @@ class TestStaging:
 
 
 class TestLifecycle:
-    def test_staged_tasks_and_a_cancel(self, agent_env, tmp_path):
+    def test_staged_tasks_and_a_cancel(self, agent_env, tmp_path, state_paths):
         agent, hub, tracer = agent_env
         src = tmp_path / "in.txt"
         src.write_text("x")
@@ -256,14 +256,14 @@ class TestLifecycle:
             time.sleep(0.01)
         agent.stop(cancel=True)
         assert [staged[u].state for u in ("in", "out", "both")] == [TaskState.DONE] * 3
-        assert "STAGING_IN" in staged["in"].timestamps
-        assert "STAGING_OUT" in staged["out"].timestamps
-        assert {"STAGING_IN", "STAGING_OUT"} <= set(staged["both"].timestamps)
+        assert TaskState.STAGING_IN in state_paths["in"]
+        assert TaskState.STAGING_OUT in state_paths["out"]
+        assert {TaskState.STAGING_IN, TaskState.STAGING_OUT} <= set(state_paths["both"])
         assert (tmp_path / "o2").read_text() == "x"
         assert agent.tasks["long"].state == TaskState.CANCELED
         assert agent.tasks["wide"].state == TaskState.CANCELED
         for t in agent.tasks.values():
-            assert_lifecycle(t)
+            assert_lifecycle(t, state_paths)
 
 
 class TestCancel:
@@ -288,7 +288,7 @@ class TestCancel:
         hub.close()
 
 
-    def test_cancel_during_stage_in(self, local_pilot, tmp_path, monkeypatch):
+    def test_cancel_during_stage_in(self, local_pilot, tmp_path, monkeypatch, state_paths):
         """Session.close cancels a task whose stage-in is still copying on
         the agent thread; the copy ends only after the cancel is asked."""
         copying, release = threading.Event(), threading.Event()
@@ -318,7 +318,7 @@ class TestCancel:
         closer.join(30.0)
         assert not closer.is_alive()
         assert pilot.agent.tasks["staged"].state == TaskState.CANCELED
-        assert_lifecycle(pilot.agent.tasks["staged"])
+        assert_lifecycle(pilot.agent.tasks["staged"], state_paths)
         trace = load_session_traces(pilot.trace_dir)
         assert trace.manifest["unknown_event_names"] == 0
         assert {e.name for e in trace.events} <= EVENTS.keys()

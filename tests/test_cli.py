@@ -56,6 +56,18 @@ class TestRun:
                    "--workdir", str(tmp_path / "wd")])
         assert rc == 1
 
+    def test_run_with_invalid_task_is_an_input_error(self, tmp_path, capsys):
+        cfg_path, cfg = workload_config(tmp_path, n_tasks=2)
+        cfg["tasks"][1]["cores_per_task"] = 0
+        cfg_path.write_text(json.dumps(cfg))
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", str(cfg_path), "--workdir", str(tmp_path / "wd")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("pilotkit: error: "), err
+        assert "cores_per_task must be >= 1" in err[0]
+        assert not (tmp_path / "wd").exists()
+
     def test_run_with_pilot_profile(self, tmp_path, capsys, sim_pilot):
         profile = tmp_path / "pilot.json"
         profile.write_text(json.dumps(sim_pilot(nodes=1, cores=4).to_dict()))
@@ -114,6 +126,18 @@ class TestAnalyze:
     def test_analyze_missing_dir(self, tmp_path, capsys):
         assert main(["analyze", str(tmp_path / "nope")]) == 1
 
+    @pytest.mark.parametrize("width", ["-1", "0", "1e-9", "nan", "x"])
+    def test_bin_width_below_one_microsecond_is_a_usage_error(self, tmp_path, capsys,
+                                                              width):
+        session_dir = self.run_session(tmp_path)
+        capsys.readouterr()
+        out_dir = tmp_path / "analysis"
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", session_dir, f"--bin-width={width}", "--out", str(out_dir)])
+        assert exc.value.code == 2
+        assert "argument --bin-width" in capsys.readouterr().err
+        assert not out_dir.exists()
+
 
 class TestExperiment:
     def test_experiment_spec_to_summary(self, tmp_path, capsys):
@@ -137,6 +161,19 @@ class TestExperiment:
         # doubling cores halves the generation count
         assert int(rows[0]["generations"]) == 4
         assert int(rows[1]["generations"]) == 2
+
+    def test_unknown_spec_key_is_an_input_error(self, tmp_path, capsys):
+        spec = {"kind": "strong", "pilots": [{"nodes": 1, "cores_per_node": 4}],
+                "tasks_per_pilot": [4], "sede": 2, "repetition": 3}
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "--spec", str(spec_path), "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"pilotkit: error: {spec_path}: ValueError: "
+                       "unknown spec keys: repetition, sede"]
+        assert not (tmp_path / "out").exists()
 
 
 class TestConsoleScript:
