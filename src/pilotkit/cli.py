@@ -20,18 +20,29 @@ from .core import PilotDescription, TaskDescription, ValidationError, load_pilot
 from .harness import ExperimentSpec, run_experiment
 
 
+# What reading a malformed input file raises.
+INPUT_ERRORS = (OSError, ValueError, KeyError, TypeError, ValidationError)
+
+
+def _input_error(path: str, exc: Exception):
+    print(f"pilotkit: error: {path}: {type(exc).__name__}: {exc}", file=sys.stderr)
+
+
 def _read(path: str, read):
     """``read(path)``; a malformed input file exits 2, as a usage error does."""
     try:
         return read(path)
-    except (OSError, ValueError, KeyError, TypeError, ValidationError) as exc:
-        print(f"pilotkit: error: {path}: {type(exc).__name__}: {exc}", file=sys.stderr)
+    except INPUT_ERRORS as exc:
+        _input_error(path, exc)
         raise SystemExit(2) from None
 
 
 def _read_workload(path: str):
     with open(path) as fh:
         cfg = json.load(fh)
+    unknown = sorted(set(cfg) - {"pilot", "pilot_profile", "tasks", "seed", "timeout_s"})
+    if unknown:
+        raise ValueError(f"unknown workload keys: {', '.join(unknown)}")
     if "pilot_profile" in cfg:
         pd = load_pilot_profile(cfg["pilot_profile"])
     else:
@@ -74,14 +85,13 @@ def _cmd_analyze(args) -> int:
         return 1
     status = 0
     for trace_dir in trace_dirs:
-        trace = load_session_traces(trace_dir)
-        pilot_cfg = trace.manifest.get("pilot")
-        if pilot_cfg is None:
-            print(f"{trace_dir}: manifest has no pilot snapshot, skipping",
-                  file=sys.stderr)
+        try:
+            trace = load_session_traces(trace_dir)
+            pd = PilotDescription.from_dict(trace.manifest["pilot"])
+        except INPUT_ERRORS as exc:
+            _input_error(trace_dir, exc)
             status = 1
             continue
-        pd = PilotDescription.from_dict(pilot_cfg)
         report = compute_utilization(trace, pd)
         series = concurrency_and_rate_series(trace, args.bin_width)
         out = args.out or os.path.join(trace_dir, "analysis")

@@ -6,7 +6,7 @@ import functools
 import gc
 import json
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 
@@ -71,8 +71,37 @@ LIFECYCLE: tuple[TaskState, ...] = (
 
 TERMINAL_STATES = frozenset({TaskState.DONE, TaskState.FAILED, TaskState.CANCELED})
 
+
+class JsonRecord:
+    """A dataclass whose JSON keys are its field names: a missing key takes
+    the field's default, and a key that names no field is an error.
+    ``_from_json`` maps a field whose JSON value needs converting to its
+    converter."""
+
+    _from_json: dict = {}
+
+    def to_dict(self) -> dict:
+        """What ``dataclasses.asdict`` gives, without its deep copy."""
+        return {f.name: v.to_dict() if isinstance(v := getattr(self, f.name), JsonRecord) else v
+                for f in fields(self)}
+
+    @classmethod
+    def from_dict(cls, d: dict):
+        if not isinstance(d, dict):
+            raise TypeError(f"{cls.__name__}: expected a JSON object, got {type(d).__name__}")
+        unknown = sorted(set(d) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown {cls.__name__} keys: {', '.join(unknown)}")
+        convert = cls._from_json
+        return cls(**{k: convert[k](v) if k in convert else v for k, v in d.items()})
+
+
+def _pairs(items) -> tuple[tuple[str, str], ...]:
+    return tuple((a, b) for a, b in items)
+
+
 @dataclass(frozen=True)
-class LatencyModel:
+class LatencyModel(JsonRecord):
     """Launcher latency model for the simulated fabric.
 
     Prepare latency is sampled once per submission; acknowledgment latency
@@ -100,7 +129,7 @@ class LatencyModel:
 
 
 @dataclass(frozen=True)
-class TaskDescription:
+class TaskDescription(JsonRecord):
     uid: str
     kind: TaskKind = TaskKind.EXECUTABLE
     executable: str = ""
@@ -115,6 +144,10 @@ class TaskDescription:
     tag: str | None = None
     environment: tuple[tuple[str, str], ...] = ()
 
+    _from_json = {"kind": TaskKind, "arguments": tuple, "cores_per_task": int,
+                  "gpus_per_task": int, "uses_mpi": bool, "stage_in": _pairs,
+                  "stage_out": _pairs, "environment": _pairs}
+
     def __post_init__(self):
         if self.cores_per_task < 1:
             raise ValidationError(f"task {self.uid!r}: cores_per_task must be >= 1")
@@ -125,44 +158,9 @@ class TaskDescription:
         if self.expected_runtime_s is not None and self.expected_runtime_s < 0:
             raise ValidationError(f"task {self.uid!r}: expected_runtime_s must be >= 0")
 
-    def to_dict(self) -> dict:
-        return {
-            "uid": self.uid,
-            "kind": self.kind.value,
-            "executable": self.executable,
-            "function": self.function,
-            "arguments": list(self.arguments),
-            "cores_per_task": self.cores_per_task,
-            "gpus_per_task": self.gpus_per_task,
-            "uses_mpi": self.uses_mpi,
-            "expected_runtime_s": self.expected_runtime_s,
-            "stage_in": [list(p) for p in self.stage_in],
-            "stage_out": [list(p) for p in self.stage_out],
-            "tag": self.tag,
-            "environment": [list(p) for p in self.environment],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TaskDescription":
-        return cls(
-            uid=d["uid"],
-            kind=TaskKind(d.get("kind", "executable")),
-            executable=d.get("executable", ""),
-            function=d.get("function", ""),
-            arguments=tuple(d.get("arguments", ())),
-            cores_per_task=int(d.get("cores_per_task", 1)),
-            gpus_per_task=int(d.get("gpus_per_task", 0)),
-            uses_mpi=bool(d.get("uses_mpi", False)),
-            expected_runtime_s=d.get("expected_runtime_s"),
-            stage_in=tuple((s, t) for s, t in d.get("stage_in", ())),
-            stage_out=tuple((s, t) for s, t in d.get("stage_out", ())),
-            tag=d.get("tag"),
-            environment=tuple((k, v) for k, v in d.get("environment", ())),
-        )
-
 
 @dataclass(frozen=True)
-class PilotDescription:
+class PilotDescription(JsonRecord):
     uid: str
     fabric: Fabric = Fabric.LOCAL
     nodes: int = 1
@@ -173,6 +171,10 @@ class PilotDescription:
     bootstrap_s: float = 0.1
     teardown_s: float = 0.05
     oversubscribe: bool = False
+
+    _from_json = {"fabric": Fabric, "nodes": int, "cores_per_node": int, "gpus_per_node": int,
+                  "dvm_max_nodes": int, "latency_model": LatencyModel.from_dict,
+                  "bootstrap_s": float, "teardown_s": float, "oversubscribe": bool}
 
     def __post_init__(self):
         if not self.uid:
@@ -206,35 +208,6 @@ class PilotDescription:
     @property
     def total_gpus(self) -> int:
         return self.nodes * self.gpus_per_node
-
-    def to_dict(self) -> dict:
-        return {
-            "uid": self.uid,
-            "fabric": self.fabric.value,
-            "nodes": self.nodes,
-            "cores_per_node": self.cores_per_node,
-            "gpus_per_node": self.gpus_per_node,
-            "dvm_max_nodes": self.dvm_max_nodes,
-            "bootstrap_s": self.bootstrap_s,
-            "teardown_s": self.teardown_s,
-            "oversubscribe": self.oversubscribe,
-            "latency_model": asdict(self.latency_model),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PilotDescription":
-        return cls(
-            uid=d["uid"],
-            fabric=Fabric(d.get("fabric", "local")),
-            nodes=int(d.get("nodes", 1)),
-            cores_per_node=int(d.get("cores_per_node", 1)),
-            gpus_per_node=int(d.get("gpus_per_node", 0)),
-            dvm_max_nodes=int(d.get("dvm_max_nodes", 256)),
-            latency_model=LatencyModel(**(d.get("latency_model") or {})),
-            bootstrap_s=float(d.get("bootstrap_s", 0.1)),
-            teardown_s=float(d.get("teardown_s", 0.05)),
-            oversubscribe=bool(d.get("oversubscribe", False)),
-        )
 
 
 def load_pilot_profile(path: str) -> PilotDescription:
@@ -365,6 +338,7 @@ __all__ = [
     "TaskState",
     "LIFECYCLE",
     "TERMINAL_STATES",
+    "JsonRecord",
     "LatencyModel",
     "TaskDescription",
     "PilotDescription",

@@ -13,11 +13,11 @@ import json
 import os
 import random
 import statistics
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 from .analytics import compute_utilization, load_session_traces
 from .client import Session
-from .core import Fabric, LatencyModel, PilotDescription, TaskDescription
+from .core import Fabric, JsonRecord, PilotDescription, TaskDescription
 
 KINDS = ("weak", "strong", "hetero_weak", "hetero_strong")
 
@@ -25,7 +25,10 @@ SCALE_NOTE = "desk-scale analogue: durations x1e-3, node counts simulated at ful
 
 
 @dataclass
-class ExperimentSpec:
+class ExperimentSpec(JsonRecord):
+    """An experiment spec. Each ``pilots`` entry holds the keys of a
+    :class:`PilotDescription` less those :func:`pilot_from_cell` sets."""
+
     kind: str
     pilots: list[dict]
     tasks_per_pilot: list[int]
@@ -46,24 +49,18 @@ class ExperimentSpec:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         if len(self.pilots) != len(self.tasks_per_pilot):
             raise ValueError("pilots and tasks_per_pilot must align")
+        pds = [pilot_from_cell(self, cell, "check") for cell in range(len(self.pilots))]
         if self.kind == "strong" and len(set(self.tasks_per_pilot)) != 1:
             raise ValueError("strong scaling fixes the task count across pilots")
         if self.kind in ("weak", "hetero_weak"):
-            ratios = {
-                round(t / (p["nodes"] * p["cores_per_node"]), 9)
-                for t, p in zip(self.tasks_per_pilot, self.pilots)
-            }
+            ratios = {round(t / pd.total_cores, 9) for t, pd in zip(self.tasks_per_pilot, pds)}
             if len(ratios) != 1:
                 raise ValueError("weak scaling keeps tasks/cores ratio constant")
 
     @classmethod
     def from_file(cls, path: str) -> "ExperimentSpec":
         with open(path) as fh:
-            spec = json.load(fh)
-        unknown = sorted(set(spec) - {f.name for f in fields(cls)})
-        if unknown:
-            raise ValueError(f"unknown spec keys: {', '.join(unknown)}")
-        return cls(**spec)
+            return cls.from_dict(json.load(fh))
 
 
 def _draw(spec_value, rng: random.Random) -> int:
@@ -97,18 +94,12 @@ def generate_tasks(spec: ExperimentSpec, count: int, rng: random.Random) -> list
 
 
 def pilot_from_cell(spec: ExperimentSpec, cell: int, uid: str) -> PilotDescription:
-    p = spec.pilots[cell]
-    return PilotDescription(
-        uid=uid,
-        fabric=Fabric.SIMULATED,
-        nodes=int(p["nodes"]),
-        cores_per_node=int(p["cores_per_node"]),
-        gpus_per_node=int(p.get("gpus_per_node", 0)),
-        dvm_max_nodes=int(p.get("dvm_max_nodes", 256)),
-        latency_model=LatencyModel(**spec.latency_model),
-        bootstrap_s=spec.bootstrap_s,
-        teardown_s=spec.teardown_s,
-    )
+    """The simulated pilot of one cell: its ``pilots`` entry plus the keys
+    the spec sets for every cell; dict() refuses an entry that sets one."""
+    return PilotDescription.from_dict(dict(
+        **spec.pilots[cell], uid=uid, fabric=Fabric.SIMULATED,
+        latency_model=spec.latency_model, bootstrap_s=spec.bootstrap_s,
+        teardown_s=spec.teardown_s))
 
 
 def run_cell(spec: ExperimentSpec, cell: int, rep: int, out_dir: str,

@@ -60,12 +60,13 @@ class Tracer:
     """Collects events per component and writes one CSV file per component.
 
     Tracing never raises into the caller's task path: I/O errors are counted
-    and reported in the manifest. Timestamps passed explicitly must be
-    non-decreasing per component; violations are rejected and counted.
+    and reported in the manifest.
 
-    ``emit`` records one event and takes the lock, for threads that share
-    the tracer. ``emit_rows`` records a batch of one component's events,
-    with the same format and accounting and one lock for the batch.
+    ``emit`` records one event, stamped by the tracer's clock, and takes the
+    lock, for threads that share the tracer. ``emit_rows`` records a batch
+    of one component's events under one lock, each with its own timestamp;
+    those must be non-decreasing per component, and a row stamped before
+    its component's last event is rejected and counted.
     """
 
     def __init__(self, directory: str, enabled: bool = True,
@@ -88,18 +89,11 @@ class Tracer:
             os.makedirs(directory, exist_ok=True)
 
     def emit(self, component: str, event_name: str, task_uid: str | None = None,
-             detail: str | None = None, timestamp: float | None = None):
+             detail: str | None = None):
         if not self.enabled or self._closed:
             return
         with self._lock:
-            if timestamp is None:
-                timestamp = self._clock()
-            else:
-                last = self._last_ts.get(component)
-                if last is not None and timestamp < last:
-                    self.rejected += 1
-                    return
-            self._last_ts[component] = timestamp
+            timestamp = self._clock()
             if event_name not in EVENTS:
                 self.unknown_names += 1
             line = LINE_FORMAT % (
@@ -112,8 +106,8 @@ class Tracer:
 
     def emit_rows(self, component: str, rows: list[tuple]):
         """Record a batch of one component's events, each row a
-        ``(timestamp, event_name, task_uid, detail)`` tuple: what ``emit``
-        does with explicit timestamps, row by row, under one lock."""
+        ``(timestamp, event_name, task_uid, detail)`` tuple, in the line
+        format and with the accounting of ``emit``."""
         if not self.enabled or self._closed:
             return
         with self._lock:

@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -68,6 +69,38 @@ class TestRun:
         assert "cores_per_task must be >= 1" in err[0]
         assert not (tmp_path / "wd").exists()
 
+    @pytest.mark.parametrize("where, key", [
+        ("task", "cores"), ("pilot", "dvm_max_node"), ("pilot_profile", "gpus"),
+        ("latency_model", "ack_mean"), ("workload", "timeout"),
+        ("spec_pilot", "gpus"), ("spec_latency_model", "ack_mean")])
+    def test_unknown_key_is_an_input_error(self, tmp_path, capsys, sim_pilot, where, key):
+        cfg_path, cfg = workload_config(tmp_path, n_tasks=2)
+        cfg["pilot"]["latency_model"] = {"ack_mean_s": 0.1}
+        profile = sim_pilot(nodes=1, cores=4).to_dict()
+        spec = {"kind": "strong", "pilots": [{"nodes": 1, "cores_per_node": 4}],
+                "tasks_per_pilot": [4], "latency_model": {"ack_mean_s": 0.1}}
+        target = {"task": cfg["tasks"][1], "pilot": cfg["pilot"], "pilot_profile": profile,
+                  "latency_model": cfg["pilot"]["latency_model"], "workload": cfg,
+                  "spec_pilot": spec["pilots"][0],
+                  "spec_latency_model": spec["latency_model"]}[where]
+        target[key] = 2
+        if where == "pilot_profile":
+            del cfg["pilot"]
+            cfg["pilot_profile"] = str(tmp_path / "pilot.json")
+            (tmp_path / "pilot.json").write_text(json.dumps(profile))
+        cfg_path.write_text(json.dumps(spec if where.startswith("spec") else cfg))
+        wd = str(tmp_path / "wd")
+        with pytest.raises(SystemExit) as exc:
+            if where.startswith("spec"):
+                main(["experiment", "--spec", str(cfg_path), "--out", wd])
+            else:
+                main(["run", "--config", str(cfg_path), "--workdir", wd])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"pilotkit: error: {cfg_path}: "), err
+        assert err[0].endswith(f" keys: {key}"), err
+        assert not (tmp_path / "wd").exists()
+
     def test_run_with_pilot_profile(self, tmp_path, capsys, sim_pilot):
         profile = tmp_path / "pilot.json"
         profile.write_text(json.dumps(sim_pilot(nodes=1, cores=4).to_dict()))
@@ -104,7 +137,7 @@ class TestAnalyze:
         trace_dir = os.path.join(session_dir, "pilots", "p0", "traces")
         assert main(["analyze", trace_dir, "--out", str(tmp_path / "a2")]) == 0
 
-    def test_analyze_two_pilots_writes_a_report_each(self, tmp_path, sim_pilot):
+    def run_two_pilots(self, tmp_path, sim_pilot):
         session = create_session(str(tmp_path / "wd"), seed=5)
         pm = session.create_pilot_manager()
         pm.submit_pilot(sim_pilot(uid="p1", nodes=1, cores=4))
@@ -115,13 +148,38 @@ class TestAnalyze:
                             arguments=["--duration", "0.5"]) for i in range(6)])
         assert tm.wait_tasks(handles) == ["DONE"] * 6
         session.close()
+        return session.directory
+
+    def test_analyze_two_pilots_writes_a_report_each(self, tmp_path, sim_pilot):
+        session_dir = self.run_two_pilots(tmp_path, sim_pilot)
         out_dir = tmp_path / "analysis"
-        assert main(["analyze", session.directory, "--out", str(out_dir)]) == 0
+        assert main(["analyze", session_dir, "--out", str(out_dir)]) == 0
         cores = {}
         for uid in ("p1", "p2"):
             with open(out_dir / uid / "summary.csv") as fh:
                 cores[uid] = int(list(csv.DictReader(fh))[0]["cores"])
         assert cores == {"p1": 4, "p2": 8}
+
+    @pytest.mark.parametrize("manifest", ["truncated", "walltime_s"])
+    def test_unreadable_manifest_reported_others_analyzed(self, tmp_path, capsys, sim_pilot,
+                                                          manifest):
+        session_dir = self.run_two_pilots(tmp_path, sim_pilot)
+        bad = os.path.join(session_dir, "pilots", "p1", "traces")
+        path = Path(bad) / "manifest.json"
+        if manifest == "truncated":  # as a killed run can leave it
+            path.write_text('{"components": [')
+        else:  # a pilot snapshot written before the field was removed
+            m = json.loads(path.read_text())
+            m["pilot"]["walltime_s"] = 3600.0
+            path.write_text(json.dumps(m))
+        capsys.readouterr()
+        out_dir = tmp_path / "analysis"
+        assert main(["analyze", session_dir, "--out", str(out_dir)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"pilotkit: error: {bad}: "), err
+        assert manifest != "walltime_s" or err[0].endswith("keys: walltime_s"), err
+        assert os.listdir(out_dir) == ["p2"]
+        assert os.path.exists(out_dir / "p2" / "summary.csv")
 
     def test_analyze_missing_dir(self, tmp_path, capsys):
         assert main(["analyze", str(tmp_path / "nope")]) == 1
@@ -172,7 +230,7 @@ class TestExperiment:
         assert exc.value.code == 2
         err = capsys.readouterr().err.splitlines()
         assert err == [f"pilotkit: error: {spec_path}: ValueError: "
-                       "unknown spec keys: repetition, sede"]
+                       "unknown ExperimentSpec keys: repetition, sede"]
         assert not (tmp_path / "out").exists()
 
 

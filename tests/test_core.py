@@ -1,8 +1,11 @@
 import json
+import os
 
 import pytest
 from hypothesis import given, strategies as st
 
+from pilotkit import bus
+from pilotkit.client import create_session
 from pilotkit.core import (
     EmptyUid,
     Fabric,
@@ -24,7 +27,16 @@ from pilotkit.core import (
     validate_task_description,
 )
 
+from pilotkit.harness import ExperimentSpec
+
 from conftest import task
+
+texts = st.text(max_size=8)
+pairs = st.tuples(texts, texts)
+
+
+def tuples(elements):
+    return st.lists(elements, max_size=3).map(tuple)
 
 
 class TestTaskDescription:
@@ -42,10 +54,14 @@ class TestTaskDescription:
             TaskDescription(uid="t0", kind=TaskKind.FUNCTION, function="noop",
                             gpus_per_task=1)
 
-    def test_dict_round_trip(self):
-        td = task("t0", cores=3, gpus=1, mpi=True, tag="A",
-                  stage_in=(("a", "input/a"),), environment=(("K", "V"),))
-        assert TaskDescription.from_dict(td.to_dict()) == td
+    @given(st.builds(TaskDescription, uid=texts.filter(bool), kind=st.sampled_from(TaskKind),
+                     executable=texts, function=texts, arguments=tuples(texts),
+                     cores_per_task=st.integers(1, 64), uses_mpi=st.booleans(),
+                     expected_runtime_s=st.none() | st.floats(0, 1e6),
+                     stage_in=tuples(pairs), stage_out=tuples(pairs),
+                     tag=st.none() | texts, environment=tuples(pairs)))
+    def test_dict_round_trip(self, td):
+        assert TaskDescription.from_dict(json.loads(json.dumps(td.to_dict()))) == td
 
 
 class TestPilotDescription:
@@ -71,11 +87,107 @@ class TestPilotDescription:
         with pytest.raises(ValidationError, match="teardown_s"):
             PilotDescription(uid="p", fabric=Fabric.SIMULATED, teardown_s=-1.0)
 
+    @given(st.builds(
+        PilotDescription, uid=texts.filter(bool), fabric=st.just(Fabric.SIMULATED),
+        nodes=st.integers(1, 4096), cores_per_node=st.integers(1, 128),
+        gpus_per_node=st.integers(0, 8), dvm_max_nodes=st.integers(1, 512),
+        latency_model=st.builds(LatencyModel, *[st.floats(0, 10)] * 4, st.floats(-2, 2)),
+        bootstrap_s=st.floats(0, 100), teardown_s=st.floats(0, 100),
+        oversubscribe=st.booleans()))
+    def test_dict_round_trip(self, pd):
+        assert PilotDescription.from_dict(json.loads(json.dumps(pd.to_dict()))) == pd
+
     def test_profile_round_trip(self, tmp_path, sim_pilot):
         pd = sim_pilot(nodes=3, cores=8, gpus=2)
         path = tmp_path / "profile.json"
         path.write_text(json.dumps(pd.to_dict()))
         assert load_pilot_profile(str(path)) == pd
+
+
+class TestJsonForm:
+    """Descriptions and specs are read by ``JsonRecord.from_dict``: the keys
+    are the dataclass fields, and a key that names none is refused."""
+
+    @pytest.mark.parametrize("cls, d, message", [
+        (TaskDescription, {"uid": "t0", "cores": 4, "gpu": 1},
+         "unknown TaskDescription keys: cores, gpu"),
+        (PilotDescription, {"uid": "p", "dvm_max_node": 2},
+         "unknown PilotDescription keys: dvm_max_node"),
+        (PilotDescription, {"uid": "p", "latency_model": {"ack_mean": 0.1}},
+         "unknown LatencyModel keys: ack_mean"),
+        (LatencyModel, {"ack_mean_s": 0.1, "prepare": 0.2}, "unknown LatencyModel keys: prepare"),
+        (ExperimentSpec, {"kind": "strong", "pilots": [], "tasks_per_pilot": [], "sede": 2},
+         "unknown ExperimentSpec keys: sede"),
+    ])
+    def test_unknown_keys_refused(self, cls, d, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            cls.from_dict(d)
+
+    @pytest.mark.parametrize("d", [None, [], "uid", 3])
+    def test_non_object_refused(self, d):
+        with pytest.raises(TypeError, match="expected a JSON object"):
+            TaskDescription.from_dict(d)
+
+    def test_missing_keys_take_the_dataclass_defaults(self):
+        assert TaskDescription.from_dict({"uid": "t0"}) == TaskDescription(uid="t0")
+        assert PilotDescription.from_dict({"uid": "p"}) == PilotDescription(uid="p")
+        assert LatencyModel.from_dict({}) == LatencyModel()
+
+    def test_values_converted(self):
+        td = TaskDescription.from_dict({"uid": "t0", "kind": "function", "cores_per_task": "2",
+                                        "arguments": ["a"], "stage_in": [["s", "t"]]})
+        assert (td.kind, td.cores_per_task, td.arguments, td.stage_in) == \
+            (TaskKind.FUNCTION, 2, ("a",), (("s", "t"),))
+        pd = PilotDescription.from_dict({"uid": "p", "fabric": "simulated", "nodes": 2.0,
+                                         "latency_model": {"ack_mean_s": 0.1}})
+        assert (pd.fabric, pd.nodes, pd.latency_model) == \
+            (Fabric.SIMULATED, 2, LatencyModel(ack_mean_s=0.1))
+
+    def test_bus_payload_and_manifest_snapshot_bytes(self, tmp_path):
+        # Both literals were written by the per-field to_dict bodies this
+        # reader replaced; the local fabric's intake and analyze read them.
+        td = TaskDescription(
+            uid="t7", kind=TaskKind.EXECUTABLE, executable="/bin/echo", function="f",
+            arguments=("a", "b c"), cores_per_task=3, gpus_per_task=2, uses_mpi=True,
+            expected_runtime_s=1.5, stage_in=(("src", "in/a"),), stage_out=(("out/b", "dst"),),
+            tag="A", environment=(("K", "V"), ("X", "1")))
+        assert bus.pack_message(td.to_dict()) == (
+            b'{"arguments":["a","b c"],"cores_per_task":3,"environment":[["K","V"],["X","1"]],'
+            b'"executable":"/bin/echo","expected_runtime_s":1.5,"function":"f",'
+            b'"gpus_per_task":2,"kind":"executable","stage_in":[["src","in/a"]],'
+            b'"stage_out":[["out/b","dst"]],"tag":"A","uid":"t7","uses_mpi":true}')
+        pd = PilotDescription(
+            uid="p1", fabric=Fabric.SIMULATED, nodes=4, cores_per_node=42, gpus_per_node=6,
+            dvm_max_nodes=2, bootstrap_s=0.2, teardown_s=0.0, oversubscribe=True,
+            latency_model=LatencyModel(prepare_mean_s=0.037, prepare_std_s=0.01,
+                                       ack_mean_s=0.135, ack_std_s=0.107,
+                                       ack_scale_exponent=0.5))
+        session = create_session(str(tmp_path), seed=3)
+        pilot = session.create_pilot_manager().submit_pilot(pd)
+        session.create_task_manager().submit_tasks([task("t0")])
+        session.close()
+        with open(os.path.join(pilot.trace_dir, "manifest.json")) as fh:
+            manifest = fh.read()
+        assert """
+  "pilot": {
+    "bootstrap_s": 0.2,
+    "cores_per_node": 42,
+    "dvm_max_nodes": 2,
+    "fabric": "simulated",
+    "gpus_per_node": 6,
+    "latency_model": {
+      "ack_mean_s": 0.135,
+      "ack_scale_exponent": 0.5,
+      "ack_std_s": 0.107,
+      "prepare_mean_s": 0.037,
+      "prepare_std_s": 0.01
+    },
+    "nodes": 4,
+    "oversubscribe": true,
+    "teardown_s": 0.0,
+    "uid": "p1"
+  },
+""" in manifest
 
 
 class TestValidate:

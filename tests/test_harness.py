@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from pilotkit.core import Fabric, LatencyModel, PilotDescription, ValidationError
 from pilotkit.harness import (
     ExperimentSpec,
     SCALE_NOTE,
@@ -53,6 +54,17 @@ class TestSpec:
                            pilots=[{"nodes": 1, "cores_per_node": 4}],
                            tasks_per_pilot=[4, 4])
 
+    @pytest.mark.parametrize("entry, error", [
+        ({"nodes": 4, "cores_per_node": 4, "gpus": 1}, "unknown PilotDescription keys: gpus"),
+        ({"nodes": 4, "cores_per_node": 4, "uid": "p"}, "'uid'"),
+        ({"nodes": 4, "cores_per_node": 4, "bootstrap_s": 1.0}, "'bootstrap_s'"),
+        ({"nodes": 0, "cores_per_node": 4}, "nodes must be >= 1"),
+    ])
+    def test_pilot_entries_checked_at_load(self, entry, error):
+        # An entry may not set what the spec sets for every cell.
+        with pytest.raises((ValueError, TypeError, ValidationError), match=error):
+            weak_spec(pilots=[{"nodes": 2, "cores_per_node": 4}, entry])
+
     def test_from_file_round_trip(self, tmp_path):
         spec = weak_spec()
         path = tmp_path / "spec.json"
@@ -90,9 +102,14 @@ class TestGenerate:
         assert a == b
 
     def test_pilot_from_cell(self):
-        pd = pilot_from_cell(weak_spec(), 1, uid="p")
+        pd = pilot_from_cell(weak_spec(latency_model={"ack_mean_s": 0.1}), 1, uid="p")
         assert pd.total_cores == 16
         assert pd.bootstrap_s == 0.1
+        assert (pd.uid, pd.fabric, pd.latency_model) == \
+            ("p", Fabric.SIMULATED, LatencyModel(ack_mean_s=0.1))
+        defaults = PilotDescription(uid="d")
+        assert (pd.gpus_per_node, pd.dvm_max_nodes) == \
+            (defaults.gpus_per_node, defaults.dvm_max_nodes)
 
 
 class TestRun:

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from pilotkit.core import Fabric, PilotDescription
 from pilotkit.simulator import SimAgent
-from pilotkit.tracer import DEFAULT_BUFFER_EVENTS, EVENTS, NullTracer, Tracer
+from pilotkit.tracer import DEFAULT_BUFFER_EVENTS, EVENTS, LINE_FORMAT, NullTracer, Tracer
 
 
 def read_trace(path):
@@ -22,15 +22,15 @@ def read_trace(path):
 
 class TestEmit:
     def test_line_format(self, tmp_path):
-        tr = Tracer(str(tmp_path))
-        tr.emit("agent", "exec_start", "t0", "node 0", timestamp=1.25)
+        tr = Tracer(str(tmp_path), clock=lambda: 1.25)
+        tr.emit("agent", "exec_start", "t0", "node 0")
         tr.close()
         rows = read_trace(tmp_path / "agent.csv")
         assert rows == [["1.250000", "agent", "exec_start", "t0", "node 0"]]
 
     def test_microsecond_precision(self, tmp_path):
-        tr = Tracer(str(tmp_path))
-        tr.emit("a", "exec_start", "t", timestamp=0.1234567)
+        tr = Tracer(str(tmp_path), clock=lambda: 0.1234567)
+        tr.emit("a", "exec_start", "t")
         tr.close()
         assert read_trace(tmp_path / "a.csv")[0][0] == "0.123457"
 
@@ -44,9 +44,8 @@ class TestEmit:
 
     def test_out_of_order_explicit_rejected_and_counted(self, tmp_path):
         tr = Tracer(str(tmp_path))
-        tr.emit("a", "exec_start", "t0", timestamp=5.0)
-        tr.emit("a", "exec_stop", "t0", timestamp=4.0)
-        tr.emit("a", "exec_stop", "t0", timestamp=5.0)
+        tr.emit_rows("a", [(5.0, "exec_start", "t0", None), (4.0, "exec_stop", "t0", None),
+                           (5.0, "exec_stop", "t0", None)])
         assert tr.rejected == 1
         tr.close()
         assert len(read_trace(tmp_path / "a.csv")) == 2
@@ -55,15 +54,15 @@ class TestEmit:
 
     def test_components_get_separate_files(self, tmp_path):
         tr = Tracer(str(tmp_path))
-        tr.emit("agent", "exec_start", "t0", timestamp=1.0)
-        tr.emit("scheduler", "schedule_ok", "t0", timestamp=1.0)
+        tr.emit("agent", "exec_start", "t0")
+        tr.emit("scheduler", "schedule_ok", "t0")
         tr.close()
         assert (tmp_path / "agent.csv").exists()
         assert (tmp_path / "scheduler.csv").exists()
 
     def test_unknown_event_name_counted_not_dropped(self, tmp_path):
         tr = Tracer(str(tmp_path))
-        tr.emit("a", "totally_made_up", "t0", timestamp=1.0)
+        tr.emit("a", "totally_made_up", "t0")
         assert tr.unknown_names == 1
         tr.close()
         assert len(read_trace(tmp_path / "a.csv")) == 1
@@ -73,9 +72,9 @@ class TestBuffering:
     def test_nothing_on_disk_below_threshold(self, tmp_path):
         tr = Tracer(str(tmp_path), buffer_events=10)
         for i in range(9):
-            tr.emit("a", "exec_start", f"t{i}", timestamp=float(i))
+            tr.emit("a", "exec_start", f"t{i}")
         assert not (tmp_path / "a.csv").exists()
-        tr.emit("a", "exec_start", "t9", timestamp=9.0)
+        tr.emit("a", "exec_start", "t9")
         assert len(read_trace(tmp_path / "a.csv")) == 10
 
     @settings(max_examples=25, deadline=None)
@@ -86,7 +85,7 @@ class TestBuffering:
         with tempfile.TemporaryDirectory() as d:
             tr = Tracer(d, buffer_events=buffer_events)
             for i in range(n):
-                tr.emit("a", "exec_start", f"t{i}", timestamp=float(i))
+                tr.emit("a", "exec_start", f"t{i}")
             tr.close()
             rows = read_trace(os.path.join(d, "a.csv"))
         assert [r[3] for r in rows] == [f"t{i}" for i in range(n)]
@@ -99,8 +98,8 @@ class TestManifest:
     def test_event_counts(self, tmp_path):
         tr = Tracer(str(tmp_path))
         for i in range(3):
-            tr.emit("agent", "exec_start", f"t{i}", timestamp=float(i))
-        tr.emit("scheduler", "schedule_ok", "t0", timestamp=0.0)
+            tr.emit("agent", "exec_start", f"t{i}")
+        tr.emit("scheduler", "schedule_ok", "t0")
         tr.meta["seed"] = 42
         tr.close()
         m = json.loads((tmp_path / "manifest.json").read_text())
@@ -113,14 +112,14 @@ class TestManifest:
     def test_counts_match_file_lines(self, tmp_path):
         tr = Tracer(str(tmp_path), buffer_events=7)
         for i in range(100):
-            tr.emit("a", "exec_start", f"t{i}", timestamp=float(i))
+            tr.emit("a", "exec_start", f"t{i}")
         tr.close()
         m = json.loads((tmp_path / "manifest.json").read_text())
         assert m["components"][0]["events"] == len(read_trace(tmp_path / "a.csv")) == 100
 
     def test_io_error_marks_partial(self, tmp_path):
         tr = Tracer(str(tmp_path))
-        tr.emit("a", "exec_start", "t0", timestamp=0.0)
+        tr.emit("a", "exec_start", "t0")
         # a directory at the trace-file path makes the append fail
         os.mkdir(tmp_path / "a.csv")
         tr.flush()
@@ -131,9 +130,9 @@ class TestManifest:
 
     def test_close_idempotent(self, tmp_path):
         tr = Tracer(str(tmp_path))
-        tr.emit("a", "exec_start", "t0", timestamp=0.0)
+        tr.emit("a", "exec_start", "t0")
         tr.close()
-        tr.emit("a", "exec_stop", "t0", timestamp=1.0)  # ignored after close
+        tr.emit("a", "exec_stop", "t0")  # ignored after close
         tr.close()
         assert len(read_trace(tmp_path / "a.csv")) == 1
 
@@ -185,12 +184,23 @@ def simulated_stream(seed, n, components=("agent", "executor", "scheduler")):
     return out
 
 
-def through_emit(directory, events, **kw):
-    tr = Tracer(directory, **kw)
+def reference_files(events):
+    """What the tracer writes for ``events``, by a plain reference: per
+    component, in arrival order, an event stamped before its component's
+    last kept one is rejected and every other is one ``LINE_FORMAT`` line.
+    Returns file name -> bytes, the rejected count and the count of kept
+    events whose name is not in the registry."""
+    last, lines = {}, {}
+    rejected = unknown = 0
     for ts, component, name, uid, detail in events:
-        tr.emit(component, name, task_uid=uid, detail=detail, timestamp=ts)
-    tr.close()
-    return tr
+        if ts < last.get(component, ts):
+            rejected += 1
+            continue
+        last[component] = ts
+        unknown += name not in EVENTS
+        lines.setdefault(f"{component}.csv", []).append(
+            LINE_FORMAT % (ts, component, name, uid or "", detail or "") + "\n")
+    return {f: "".join(ls).encode() for f, ls in lines.items()}, rejected, unknown
 
 
 def through_simulator(directory, events, **kw):
@@ -206,12 +216,14 @@ def through_simulator(directory, events, **kw):
     return tr
 
 
-def tree_bytes(directory):
-    return {name: (directory / name).read_bytes() for name in sorted(os.listdir(directory))}
+def trace_files(directory):
+    """The trace files under ``directory``, name -> bytes, and its manifest."""
+    files = {name: (directory / name).read_bytes() for name in os.listdir(directory)}
+    return files, json.loads(files.pop("manifest.json"))
 
 
 class TestSimulatorPath:
-    """The batched path the simulator uses writes what ``emit`` writes."""
+    """The batched path the simulator uses writes what the reference writes."""
 
     def test_same_files_across_the_flush_boundary(self, tmp_path):
         events = simulated_stream(seed=1, n=3 * DEFAULT_BUFFER_EVENTS + 3000)
@@ -221,14 +233,15 @@ class TestSimulatorPath:
         last_agent = max(e[0] for e in events[:late] if e[1] == "agent")
         events[late] = (last_agent - 1.0,) + events[late][1:]
         events[late + 1] = events[late + 1][:2] + ("made_up_event",) + events[late + 1][3:]
-        a = through_emit(tmp_path / "a", events)
-        b = through_simulator(tmp_path / "b", events)
-        assert tree_bytes(tmp_path / "a") == tree_bytes(tmp_path / "b")
-        manifest = json.loads((tmp_path / "b" / "manifest.json").read_text())
+        expected, rejected, unknown = reference_files(events)
+        tr = through_simulator(tmp_path, events)
+        files, manifest = trace_files(tmp_path)
+        assert files == expected
         counts = {c["name"]: c["events"] for c in manifest["components"]}
+        assert counts == {f.removesuffix(".csv"): b.count(b"\n") for f, b in files.items()}
         assert all(n > DEFAULT_BUFFER_EVENTS for n in counts.values()), counts
-        assert manifest["rejected_events"] == a.rejected == b.rejected > 0
-        assert manifest["unknown_event_names"] == a.unknown_names == b.unknown_names > 0
+        assert manifest["rejected_events"] == tr.rejected == rejected > 0
+        assert manifest["unknown_event_names"] == tr.unknown_names == unknown > 0
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10_000), st.integers(1, 400), st.integers(1, 40))
@@ -237,26 +250,24 @@ class TestSimulatorPath:
         import tempfile
 
         events = simulated_stream(seed, n)
+        expected, rejected, unknown = reference_files(events)
         with tempfile.TemporaryDirectory() as d:
-            d = pathlib.Path(d)
-            a = through_emit(d / "a", events, buffer_events=buffer_events)
-            b = through_simulator(d / "b", events, buffer_events=buffer_events)
-            assert tree_bytes(d / "a") == tree_bytes(d / "b")
-        assert (a.rejected, a.unknown_names) == (b.rejected, b.unknown_names)
+            tr = through_simulator(pathlib.Path(d), events, buffer_events=buffer_events)
+            assert trace_files(pathlib.Path(d))[0] == expected
+        assert (tr.rejected, tr.unknown_names) == (rejected, unknown)
 
     def test_rows_before_the_components_last_event_rejected(self, tmp_path):
+        first = [(4.5, "exec_stop", "t", None)]
         rows = [(float(i), "exec_start", f"t{i}", None) for i in range(10)]
-        a = Tracer(str(tmp_path / "a"))
-        b = Tracer(str(tmp_path / "b"))
-        for tr in (a, b):
-            tr.emit("executor", "exec_stop", "t", timestamp=4.5)
-        for ts, name, uid, detail in rows:
-            a.emit("executor", name, task_uid=uid, detail=detail, timestamp=ts)
-        b.emit_rows("executor", rows)
-        assert a.rejected == b.rejected == 5
-        a.close()
-        b.close()
-        assert tree_bytes(tmp_path / "a") == tree_bytes(tmp_path / "b")
+        tr = Tracer(str(tmp_path))
+        tr.emit_rows("executor", first)
+        tr.emit_rows("executor", rows)
+        assert tr.rejected == 5
+        tr.close()
+        expected, rejected, _ = reference_files(
+            [(ts, "executor", name, uid, detail) for ts, name, uid, detail in first + rows])
+        assert rejected == 5
+        assert trace_files(tmp_path)[0] == expected
 
     def test_disabled_tracer_writes_nothing(self, tmp_path):
         events = simulated_stream(seed=2, n=DEFAULT_BUFFER_EVENTS + 10)
