@@ -141,6 +141,8 @@ def load_session_traces(directory: str) -> Trace:
         raise ManifestMissing(f"no manifest.json in {directory}")
     with open(manifest_path) as fh:
         manifest = json.load(fh)
+    if not isinstance(manifest, dict):
+        raise TypeError(f"{manifest_path}: expected a JSON object, got {type(manifest).__name__}")
     events: list[TraceEvent] = []
     corrupt = 0
     share = {name: name for name in EVENTS}.setdefault

@@ -9,6 +9,8 @@ import os
 import sys
 
 from .analytics import (
+    IncompleteTrace,
+    UnwritableOutput,
     bin_width_us,
     compute_utilization,
     concurrency_and_rate_series,
@@ -24,7 +26,7 @@ from .harness import ExperimentSpec, run_experiment
 INPUT_ERRORS = (OSError, ValueError, KeyError, TypeError, ValidationError)
 
 
-def _input_error(path: str, exc: Exception):
+def _print_error(path: str, exc: Exception):
     print(f"pilotkit: error: {path}: {type(exc).__name__}: {exc}", file=sys.stderr)
 
 
@@ -33,7 +35,7 @@ def _read(path: str, read):
     try:
         return read(path)
     except INPUT_ERRORS as exc:
-        _input_error(path, exc)
+        _print_error(path, exc)
         raise SystemExit(2) from None
 
 
@@ -89,15 +91,20 @@ def _cmd_analyze(args) -> int:
             trace = load_session_traces(trace_dir)
             pd = PilotDescription.from_dict(trace.manifest["pilot"])
         except INPUT_ERRORS as exc:
-            _input_error(trace_dir, exc)
+            _print_error(trace_dir, exc)
             status = 1
             continue
-        report = compute_utilization(trace, pd)
-        series = concurrency_and_rate_series(trace, args.bin_width)
         out = args.out or os.path.join(trace_dir, "analysis")
         if args.out and len(trace_dirs) > 1:
             out = os.path.join(args.out, pd.uid)  # one report per pilot
-        files = emit_report(report, series, out)
+        try:
+            report = compute_utilization(trace, pd)
+            series = concurrency_and_rate_series(trace, args.bin_width)
+            files = emit_report(report, series, out)
+        except (IncompleteTrace, UnwritableOutput) as exc:
+            _print_error(trace_dir, exc)
+            status = 1
+            continue
         print(f"{trace_dir}: TTX {report.ttx_s:.3f} s, RU {report.ru_pct:.1f}%, "
               f"OVH {report.ovh_pct:.1f}% -> {', '.join(files)}")
     return status

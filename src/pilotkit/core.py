@@ -138,10 +138,8 @@ class TaskDescription(JsonRecord):
     cores_per_task: int = 1
     gpus_per_task: int = 0
     uses_mpi: bool = False
-    expected_runtime_s: float | None = None
     stage_in: tuple[tuple[str, str], ...] = ()
     stage_out: tuple[tuple[str, str], ...] = ()
-    tag: str | None = None
     environment: tuple[tuple[str, str], ...] = ()
 
     _from_json = {"kind": TaskKind, "arguments": tuple, "cores_per_task": int,
@@ -155,8 +153,6 @@ class TaskDescription(JsonRecord):
             raise ValidationError(f"task {self.uid!r}: gpus_per_task must be >= 0")
         if self.kind == TaskKind.FUNCTION and self.gpus_per_task != 0:
             raise ValidationError(f"task {self.uid!r}: function tasks take no GPUs")
-        if self.expected_runtime_s is not None and self.expected_runtime_s < 0:
-            raise ValidationError(f"task {self.uid!r}: expected_runtime_s must be >= 0")
 
 
 @dataclass(frozen=True)

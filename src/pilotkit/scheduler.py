@@ -1,17 +1,16 @@
 """Slot scheduler: first-fit placement of tasks onto free core/GPU slots.
 
-Two policies: continuous (first fit over nodes in index order) and tagged
-(first use of a tag binds it to the nodes picked by continuous allocation;
-later uses are pinned to exactly those nodes). Ties always break toward the
-lowest node index, then the lowest slot index.
+First fit over nodes in index order: a non-MPI task takes the lowest node
+that fits it, an MPI task spans the lowest nodes with a free core. Ties
+always break toward the lowest node index, then the lowest slot index.
 
 Placement costs what it places, not the pilot's size or the backlog.
 ``SlotMap`` keeps a free-capacity index, a max tree over node order, that
 leads first fit to the lowest node that fits and an MPI span to the nodes
 with a free core, and per-node ascending free-slot lists whose prefixes are
 the lowest free slots. ``Scheduler`` keeps waiting tasks in one FIFO bucket
-per task shape, so a rescan tries bucket heads in arrival order and drops most
-shapes at their first NoFit instead of walking every waiting task.
+per task shape, so a rescan tries bucket heads in arrival order and drops a
+shape at its first NoFit instead of walking every waiting task.
 """
 
 from __future__ import annotations
@@ -194,23 +193,17 @@ class SlotMap:
         return i, tuple(self._core_ids[i][:cores]), tuple(self._gpu_ids[i][:gpus])
 
 
-def allocate_continuous(td: TaskDescription, sm: SlotMap,
-                        node_subset: list[int] | None = None) -> Placement:
+def allocate_continuous(td: TaskDescription, sm: SlotMap) -> Placement:
     """First-fit placement; raises NoFit when no capacity is available.
 
     Non-MPI tasks take the first node (lowest index) with enough free cores
     and GPUs. MPI tasks greedily take free capacity from nodes in index
     order; a node contributes GPUs only if it also contributes cores. The
-    free-capacity index finds these nodes; a ``node_subset`` (the nodes a
-    tag is bound to) is walked in its own order instead.
+    free-capacity index finds these nodes.
     """
     c_need, g_need = td.cores_per_task, td.gpus_per_task
     if not td.uses_mpi:
-        if node_subset is None:
-            i = sm._first_fit(c_need, g_need)
-        else:
-            i = next((i for i in node_subset
-                      if sm.free_cores[i] >= c_need and sm.free_gpus[i] >= g_need), -1)
+        i = sm._first_fit(c_need, g_need)
         if i < 0:
             raise NoFit(td.uid)
         placement = (sm._take(i, c_need, g_need),)
@@ -221,13 +214,10 @@ def allocate_continuous(td: TaskDescription, sm: SlotMap,
         raise NoFit(td.uid)
     placement = []
     remaining_c, remaining_g = c_need, g_need
-    nodes = node_subset if node_subset is not None else sm._nodes_with_free_cores()
-    for i in nodes:
+    for i in sm._nodes_with_free_cores():
         if remaining_c == 0:
             break
         take_c = min(sm.free_cores[i], remaining_c)
-        if take_c == 0:
-            continue
         take_g = min(sm.free_gpus[i], remaining_g)
         placement.append(sm._take(i, take_c, take_g))
         remaining_c -= take_c
@@ -239,40 +229,27 @@ def allocate_continuous(td: TaskDescription, sm: SlotMap,
     return placement
 
 
-def allocate_tagged(td: TaskDescription, sm: SlotMap,
-                    tags: dict[str, tuple[int, ...]]) -> Placement:
-    """Place a tagged task. ``tags`` maps a tag to the node indices its
-    first use was placed on; later uses are pinned to those nodes."""
-    tag = td.tag
-    assert tag is not None
-    bound = tags.get(tag)
-    if bound is None:
-        placement = allocate_continuous(td, sm)
-        tags[tag] = tuple(n for n, _, _ in placement)
-        return placement
-    return allocate_continuous(td, sm, node_subset=list(bound))
-
-
 class Scheduler:
     """Waiting tasks plus first-fit allocation over a SlotMap.
 
     ``submit`` queues a task in ``waiting`` (uid -> description, in arrival
-    order) and in the FIFO bucket of its shape: cores, GPUs, MPI, tag.
-    ``rescan`` merges the bucket heads in arrival order on a heap and places
-    every task that fits. Free capacity only shrinks during a rescan, so a
-    shape is done at its first NoFit, and an untagged shape that a failed
-    one dominates (as many cores and GPUs or more, same MPI capability) is
-    skipped untried. Tagged MPI shapes with GPUs are the exception: their
-    greedy span can reach a node with free GPUs once an earlier node has
-    lost cores, so each of their tasks is tried. The rescan stops once free
-    cores cannot fit the smallest waiting shape. It then leaves in
-    ``newly_waiting`` the tasks submitted since the previous rescan that
-    were not placed, in arrival order.
+    order) and in the FIFO bucket of its shape: cores, GPUs, MPI. ``rescan``
+    merges the bucket heads in arrival order on a heap and places every task
+    that fits. A shape is done for the rescan at its first NoFit, and a
+    shape that a failed one dominates (as many cores and GPUs or more, same
+    MPI capability) is skipped untried. Free capacity only shrinks during a
+    rescan, so for most shapes that is what trying would find. It is a rule,
+    not a consequence, for an MPI shape with GPUs: its span takes the cores
+    of the lowest nodes first and GPUs only where it takes cores, so its
+    task can fit where a smaller failed shape did not, or once an earlier
+    node has lost cores, and it still waits for the next rescan. The rescan
+    stops once free cores cannot fit the smallest waiting shape. It then
+    leaves in ``newly_waiting`` the tasks submitted since the previous
+    rescan that were not placed, in arrival order.
     """
 
     def __init__(self, slot_map: SlotMap):
         self.slot_map = slot_map
-        self.tags: dict[str, tuple[int, ...]] = {}  # tag -> its bound nodes
         self.waiting: dict[str, TaskDescription] = {}
         self.newly_waiting: list[TaskDescription] = []
         self._buckets: dict[tuple, deque[tuple[int, TaskDescription]]] = {}
@@ -283,7 +260,7 @@ class Scheduler:
         if td.uid in self.waiting:
             raise PilotkitError(f"task {td.uid!r} already waiting")
         self.waiting[td.uid] = td
-        key = (td.cores_per_task, td.gpus_per_task, td.uses_mpi, td.tag)
+        key = (td.cores_per_task, td.gpus_per_task, td.uses_mpi)
         bucket = self._buckets.get(key)
         if bucket is None:
             bucket = self._buckets[key] = deque()
@@ -306,8 +283,6 @@ class Scheduler:
         return min((key[0] for key in self._buckets), default=0)
 
     def try_allocate(self, td: TaskDescription) -> Placement:
-        if td.tag is not None:
-            return allocate_tagged(td, self.slot_map, self.tags)
         return allocate_continuous(td, self.slot_map)
 
     def rescan(self) -> list[tuple[TaskDescription, Placement]]:
@@ -319,42 +294,36 @@ class Scheduler:
             return placed
         heads = [(bucket[0][0], key) for key, bucket in buckets.items()]
         heapq.heapify(heads)
-        # fewest[mpi][g]: the fewest cores of a failed untagged shape with at
-        # most g GPUs; an untagged shape with as many cores or more is skipped.
-        # A table, not a list of failed shapes, because every bucket head is
-        # checked on every rescan.
+        # fewest[mpi][g]: the fewest cores of a failed shape with at most g
+        # GPUs; a shape with as many cores or more is skipped. A table, not a
+        # list of failed shapes, because every bucket head is checked on
+        # every rescan.
         top = max(key[1] for key in buckets) + 1
         fewest = {False: [float("inf")] * top, True: [float("inf")] * top}
-        at: dict[tuple, int] = {}  # bucket -> position of its candidate, if not 0
         min_cores = max(self._min_waiting_cores(), 1)
         while heads:
             if sm.total_free_cores < min_cores:
                 break
             _, key = heapq.heappop(heads)
-            c, g, mpi, tag = key
-            if tag is None and c >= fewest[mpi][g]:
+            c, g, mpi = key
+            if c >= fewest[mpi][g]:
                 continue
             bucket = buckets[key]
-            pos = at.get(key, 0)
-            td = bucket[pos][1]
+            td = bucket[0][1]
             try:
                 placement = self.try_allocate(td)
             except NoFit:
-                if tag is None:
-                    limits = fewest[mpi]
-                    for j in range(g, top):
-                        if limits[j] > c:
-                            limits[j] = c
-                elif mpi and g and pos + 1 < len(bucket):
-                    at[key] = pos + 1
-                    heapq.heappush(heads, (bucket[pos + 1][0], key))
+                limits = fewest[mpi]
+                for j in range(g, top):
+                    if limits[j] > c:
+                        limits[j] = c
                 continue
             placed.append((td, placement))
             del self.waiting[td.uid]
-            del bucket[pos]
-            if pos < len(bucket):
-                heapq.heappush(heads, (bucket[pos][0], key))
-            elif not bucket:
+            bucket.popleft()
+            if bucket:
+                heapq.heappush(heads, (bucket[0][0], key))
+            else:
                 del buckets[key]
                 if c <= min_cores:
                     min_cores = max(self._min_waiting_cores(), 1)

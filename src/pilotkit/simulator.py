@@ -32,7 +32,8 @@ def sim_duration(td: TaskDescription, rng: random.Random) -> float:
     """Task runtime for the simulated fabric, from the emulator arguments.
 
     Recognizes ``--duration X`` (fixed) and ``--mean M [--std S]`` (sampled,
-    clamped at zero); falls back to expected_runtime_s, then 0.
+    clamped at zero), the arguments the local fabric passes to
+    ``pilotkit-emulate``; 0 without them.
     """
     args = td.arguments
     mean = std = None
@@ -50,8 +51,6 @@ def sim_duration(td: TaskDescription, rng: random.Random) -> float:
         if std:
             return max(0.0, rng.gauss(mean, std))
         return max(0.0, mean)
-    if td.expected_runtime_s is not None:
-        return td.expected_runtime_s
     return 0.0
 
 

@@ -50,11 +50,11 @@ def local_pilot():
     return make
 
 
-def task(uid, cores=1, gpus=0, mpi=False, duration=0.0, tag=None, **kw):
+def task(uid, cores=1, gpus=0, mpi=False, duration=0.0, **kw):
     return TaskDescription(
         uid=uid, executable="pilotkit-emulate",
         arguments=("--duration", str(duration)),
-        cores_per_task=cores, gpus_per_task=gpus, uses_mpi=mpi, tag=tag, **kw)
+        cores_per_task=cores, gpus_per_task=gpus, uses_mpi=mpi, **kw)
 
 
 @pytest.fixture

@@ -70,7 +70,8 @@ class TestRun:
         assert not (tmp_path / "wd").exists()
 
     @pytest.mark.parametrize("where, key", [
-        ("task", "cores"), ("pilot", "dvm_max_node"), ("pilot_profile", "gpus"),
+        ("task", "cores"), ("task", "tag"), ("task", "expected_runtime_s"),
+        ("pilot", "dvm_max_node"), ("pilot_profile", "gpus"),
         ("latency_model", "ack_mean"), ("workload", "timeout"),
         ("spec_pilot", "gpus"), ("spec_latency_model", "ack_mean")])
     def test_unknown_key_is_an_input_error(self, tmp_path, capsys, sim_pilot, where, key):
@@ -160,7 +161,7 @@ class TestAnalyze:
                 cores[uid] = int(list(csv.DictReader(fh))[0]["cores"])
         assert cores == {"p1": 4, "p2": 8}
 
-    @pytest.mark.parametrize("manifest", ["truncated", "walltime_s"])
+    @pytest.mark.parametrize("manifest", ["truncated", "walltime_s", "not_an_object"])
     def test_unreadable_manifest_reported_others_analyzed(self, tmp_path, capsys, sim_pilot,
                                                           manifest):
         session_dir = self.run_two_pilots(tmp_path, sim_pilot)
@@ -168,6 +169,8 @@ class TestAnalyze:
         path = Path(bad) / "manifest.json"
         if manifest == "truncated":  # as a killed run can leave it
             path.write_text('{"components": [')
+        elif manifest == "not_an_object":
+            path.write_text("[]")
         else:  # a pilot snapshot written before the field was removed
             m = json.loads(path.read_text())
             m["pilot"]["walltime_s"] = 3600.0
@@ -178,8 +181,34 @@ class TestAnalyze:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"pilotkit: error: {bad}: "), err
         assert manifest != "walltime_s" or err[0].endswith("keys: walltime_s"), err
+        assert manifest != "not_an_object" or str(path) in err[0], err
         assert os.listdir(out_dir) == ["p2"]
         assert os.path.exists(out_dir / "p2" / "summary.csv")
+
+    def test_incomplete_trace_reported_others_analyzed(self, tmp_path, capsys, sim_pilot):
+        session_dir = self.run_two_pilots(tmp_path, sim_pilot)
+        bad = os.path.join(session_dir, "pilots", "p1", "traces")
+        path = Path(bad) / "agent.csv"
+        path.write_text("".join(path.read_text().splitlines(keepends=True)[:3]))  # a killed run
+        capsys.readouterr()
+        out_dir = tmp_path / "analysis"
+        assert main(["analyze", session_dir, "--out", str(out_dir)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"pilotkit: error: {bad}: IncompleteTrace: "
+                       "missing pilot_start/agent_ready/agent_stop events"]
+        assert os.listdir(out_dir) == ["p2"]
+        assert os.path.exists(out_dir / "p2" / "summary.csv")
+
+    def test_unwritable_out_reported_for_each_dir(self, tmp_path, capsys, sim_pilot):
+        session_dir = self.run_two_pilots(tmp_path, sim_pilot)
+        (tmp_path / "file").write_text("")
+        capsys.readouterr()
+        assert main(["analyze", session_dir, "--out", str(tmp_path / "file" / "a")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert [line.split(": ")[:3] for line in err] == [
+            ["pilotkit", "error", os.path.join(session_dir, "pilots", uid, "traces")]
+            for uid in ("p1", "p2")], err
+        assert all(": UnwritableOutput: " in line for line in err), err
 
     def test_analyze_missing_dir(self, tmp_path, capsys):
         assert main(["analyze", str(tmp_path / "nope")]) == 1

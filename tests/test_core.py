@@ -57,9 +57,8 @@ class TestTaskDescription:
     @given(st.builds(TaskDescription, uid=texts.filter(bool), kind=st.sampled_from(TaskKind),
                      executable=texts, function=texts, arguments=tuples(texts),
                      cores_per_task=st.integers(1, 64), uses_mpi=st.booleans(),
-                     expected_runtime_s=st.none() | st.floats(0, 1e6),
                      stage_in=tuples(pairs), stage_out=tuples(pairs),
-                     tag=st.none() | texts, environment=tuples(pairs)))
+                     environment=tuples(pairs)))
     def test_dict_round_trip(self, td):
         assert TaskDescription.from_dict(json.loads(json.dumps(td.to_dict()))) == td
 
@@ -149,13 +148,13 @@ class TestJsonForm:
         td = TaskDescription(
             uid="t7", kind=TaskKind.EXECUTABLE, executable="/bin/echo", function="f",
             arguments=("a", "b c"), cores_per_task=3, gpus_per_task=2, uses_mpi=True,
-            expected_runtime_s=1.5, stage_in=(("src", "in/a"),), stage_out=(("out/b", "dst"),),
-            tag="A", environment=(("K", "V"), ("X", "1")))
+            stage_in=(("src", "in/a"),), stage_out=(("out/b", "dst"),),
+            environment=(("K", "V"), ("X", "1")))
         assert bus.pack_message(td.to_dict()) == (
             b'{"arguments":["a","b c"],"cores_per_task":3,"environment":[["K","V"],["X","1"]],'
-            b'"executable":"/bin/echo","expected_runtime_s":1.5,"function":"f",'
+            b'"executable":"/bin/echo","function":"f",'
             b'"gpus_per_task":2,"kind":"executable","stage_in":[["src","in/a"]],'
-            b'"stage_out":[["out/b","dst"]],"tag":"A","uid":"t7","uses_mpi":true}')
+            b'"stage_out":[["out/b","dst"]],"uid":"t7","uses_mpi":true}')
         pd = PilotDescription(
             uid="p1", fabric=Fabric.SIMULATED, nodes=4, cores_per_node=42, gpus_per_node=6,
             dvm_max_nodes=2, bootstrap_s=0.2, teardown_s=0.0, oversubscribe=True,

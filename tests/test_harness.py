@@ -4,6 +4,7 @@ summary emission."""
 import csv
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +18,9 @@ from pilotkit.harness import (
     run_experiment,
     write_summary,
 )
+
+
+EXPERIMENTS = Path(__file__).resolve().parent.parent / "experiments"
 
 
 def weak_spec(**kw):
@@ -74,6 +78,12 @@ class TestSpec:
             "duration_range_s": spec.duration_range_s, "seed": spec.seed}))
         loaded = ExperimentSpec.from_file(str(path))
         assert loaded.kind == "weak" and loaded.tasks_per_pilot == [16, 32]
+
+    @pytest.mark.parametrize("path", sorted(EXPERIMENTS.glob("*.json")), ids=lambda p: p.name)
+    def test_shipped_spec_loads(self, path):
+        # Loading builds every cell's pilot; the tasks are built here.
+        spec = ExperimentSpec.from_file(str(path))
+        assert len(generate_tasks(spec, 100, random.Random(spec.seed))) == 100
 
 
 class TestGenerate:

@@ -14,7 +14,6 @@ from pilotkit.scheduler import (
     SlotMap,
     UnknownPlacement,
     allocate_continuous,
-    allocate_tagged,
     format_placement,
     parse_placement,
 )
@@ -118,32 +117,6 @@ class TestContinuous:
         p2 = allocate_continuous(task("b", cores=1), sm)
         assert nodes_of(p1) == (0,)
         assert p2[0][1] == (1,)
-
-
-class TestTagged:
-    def test_first_use_binds_then_reuses(self, sim_pilot):
-        sm = SlotMap(build_node_list(sim_pilot(nodes=2, cores=4)))
-        tags = {}
-        p1 = allocate_tagged(task("a", cores=2, tag="A"), sm, tags)
-        assert nodes_of(p1) == (0,)
-        p2 = allocate_tagged(task("b", cores=2, tag="A"), sm, tags)
-        assert nodes_of(p2) == (0,)
-        assert p2[0][1] == (2, 3)
-
-    def test_pinned_nofit_despite_free_capacity(self, sim_pilot):
-        sm = SlotMap(build_node_list(sim_pilot(nodes=2, cores=4)))
-        tags = {}
-        allocate_tagged(task("a", cores=4, tag="A"), sm, tags)
-        with pytest.raises(NoFit):
-            allocate_tagged(task("b", cores=1, tag="A"), sm, tags)
-        assert sm.free_cores[1] == 4
-
-    def test_distinct_tags_get_distinct_nodes(self, sim_pilot):
-        sm = SlotMap(build_node_list(sim_pilot(nodes=2, cores=4)))
-        tags = {}
-        pa = allocate_tagged(task("a", cores=4, tag="A"), sm, tags)
-        pb = allocate_tagged(task("b", cores=4, tag="B"), sm, tags)
-        assert set(nodes_of(pa)).isdisjoint(nodes_of(pb))
 
 
 class TestRelease:
@@ -339,14 +312,13 @@ def test_oracle_sweep_on_a_padded_index():
 
 class ReferenceScheduler:
     """The rescan before shape buckets, kept as the reference: one FIFO
-    list walked in full, skipping untagged tasks that a failed (cores, gpus)
+    list walked in full, skipping tasks that a failed (cores, gpus)
     signature of the same MPI capability dominates. Newly waiting tasks are
     found as the simulated agent found them, by remembering every waiter
     already reported."""
 
     def __init__(self, slot_map):
         self.slot_map = slot_map
-        self.tags = {}
         self.waiting = []
         self.newly_waiting = []
         self._waiting_core_counts = Counter()
@@ -359,11 +331,6 @@ class ReferenceScheduler:
     def _min_waiting_cores(self):
         return min(self._waiting_core_counts) if self._waiting_core_counts else 0
 
-    def try_allocate(self, td):
-        if td.tag is not None:
-            return allocate_tagged(td, self.slot_map, self.tags)
-        return allocate_continuous(td, self.slot_map)
-
     def rescan(self):
         placed = []
         failed_nonmpi, failed_mpi, survivors = [], [], []
@@ -375,14 +342,13 @@ class ReferenceScheduler:
                 break
             frontier = failed_mpi if td.uses_mpi else failed_nonmpi
             c, g = td.cores_per_task, td.gpus_per_task
-            if td.tag is None and any(c >= fc and g >= fg for fc, fg in frontier):
+            if any(c >= fc and g >= fg for fc, fg in frontier):
                 survivors.append(td)
                 continue
             try:
-                placement = self.try_allocate(td)
+                placement = allocate_continuous(td, sm)
             except NoFit:
-                if td.tag is None:
-                    frontier.append((c, g))
+                frontier.append((c, g))
                 survivors.append(td)
                 continue
             placed.append((td, placement))
@@ -428,41 +394,16 @@ def rescan_both(sim_pilot, rounds):
     return placed
 
 
-# In each case below "hog" leaves node 0 with 3 free cores and no GPU, so a
-# tagged MPI task of 3 cores + 2 GPUs whose span starts at node 0 covers its
-# cores there and fails for want of GPUs. A later task of the same shape
-# fits once node 0 has lost a core, or once its tag is bound elsewhere, so
-# that shape must not be closed at its first NoFit.
-
-def test_tagged_mpi_gpu_shape_retried_after_its_tag_binds(sim_pilot):
-    # "b" binds T to node 1, where "c" fits.
+def test_mpi_gpu_shape_waits_after_node_0_shrinks(sim_pilot):
+    # "hog" leaves node 0 with 3 free cores and no GPU, so the span of "a"
+    # covers its cores there and fails for want of GPUs. "x" then takes a
+    # core of node 0, after which "a2", of the same shape, would reach node
+    # 1's GPUs; the shape is done at its first NoFit, so it waits.
     placed = rescan_both(sim_pilot, [([task("hog", cores=1, gpus=3),
-                                       task("a", cores=3, gpus=2, mpi=True, tag="T"),
-                                       task("b", cores=1, gpus=1, tag="T"),
-                                       task("c", cores=3, gpus=2, mpi=True, tag="T")], [])])
-    assert placed == [["hog", "b", "c"]]
-
-
-def test_tagged_mpi_gpu_shape_retried_after_node_0_shrinks(sim_pilot):
-    # "x" takes a core of node 0, so the span of "a2" reaches node 1's GPUs
-    # and binds T.
-    placed = rescan_both(sim_pilot, [([task("hog", cores=1, gpus=3),
-                                       task("a", cores=3, gpus=2, mpi=True, tag="T"),
+                                       task("a", cores=3, gpus=2, mpi=True),
                                        task("x", cores=1),
-                                       task("a2", cores=3, gpus=2, mpi=True, tag="T")], [])])
-    assert placed == [["hog", "x", "a2"]]
-
-
-def test_bound_tagged_mpi_gpu_shape_retried_after_node_0_shrinks(sim_pilot):
-    # "b" binds T to nodes 0 and 1 and completes; the same shrinking of
-    # node 0 then lets "a2" span the bound nodes.
-    placed = rescan_both(sim_pilot, [
-        ([task("hog", cores=1, gpus=3), task("b", cores=4, gpus=1, mpi=True, tag="T")], []),
-        ([task("a", cores=3, gpus=2, mpi=True, tag="T"),
-          task("x", cores=1),
-          task("a2", cores=3, gpus=2, mpi=True, tag="T")], ["b"]),
-    ])
-    assert placed == [["hog", "b"], ["x", "a2"]]
+                                       task("a2", cores=3, gpus=2, mpi=True)], [])])
+    assert placed == [["hog", "x"]]
 
 
 @settings(max_examples=500, deadline=None)
@@ -479,16 +420,15 @@ def test_rescan_matches_the_full_list_walk(data):
     shape = st.booleans().flatmap(lambda mpi: st.tuples(
         st.just(mpi),
         st.integers(1, 2 * cores + 1 if mpi else cores),
-        st.integers(0, 2 * gpus if mpi else gpus),
-        st.sampled_from([None, "A", "B"])))
+        st.integers(0, 2 * gpus if mpi else gpus)))
     shapes = data.draw(st.lists(shape, min_size=1, max_size=6), label="shapes")
     n = 0
     for op in data.draw(st.lists(st.sampled_from(["submit", "rescan", "complete"]),
                                  min_size=1, max_size=60), label="ops"):
         if op == "submit":
             for _ in range(data.draw(st.integers(1, 6))):
-                mpi, c, g, tag = data.draw(st.sampled_from(shapes))
-                td = task(f"t{n}", cores=c, gpus=g, mpi=mpi, tag=tag)
+                mpi, c, g = data.draw(st.sampled_from(shapes))
+                td = task(f"t{n}", cores=c, gpus=g, mpi=mpi)
                 n += 1
                 sched.submit(td)
                 ref.submit(td)

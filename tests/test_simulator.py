@@ -57,12 +57,6 @@ class TestSimDuration:
         rng = random.Random(1)
         assert all(sim_duration(td, rng) >= 0 for _ in range(200))
 
-    def test_fallback_expected_runtime(self):
-        import random
-        from pilotkit.core import TaskDescription
-        td = TaskDescription(uid="t", executable="x", expected_runtime_s=7.0)
-        assert sim_duration(td, random.Random(0)) == 7.0
-
 
 class TestZeroLatency:
     def test_32_uniform_tasks_fill_8_cores_exactly(self, sim_pilot, tmp_path):
@@ -333,19 +327,15 @@ def hetero_mix(n, seed):
             for i in range(n)]
 
 
-def tagged_mix(n, seed):
-    """The heterogeneous mix plus tags: each of four tags first binds a
-    40-core, 2-GPU MPI task's nodes; a third of the rest are pinned there,
-    some of them MPI."""
+def mpi_lead_mix(n, seed):
+    """Four 40-core, 2-GPU MPI leads, then a heterogeneous mix whose MPI
+    tasks span up to 24 cores."""
     rng = random.Random(seed)
-    tags = ("a", "b", "c", "d")
-    tds = [task(f"lead-{tag}", cores=40, gpus=2, mpi=True, tag=tag, duration=1.0)
-           for tag in tags]
+    tds = [task(f"lead-{c}", cores=40, gpus=2, mpi=True, duration=1.0) for c in "abcd"]
     for i in range(n):
         mpi = rng.random() < 0.1
-        tag = rng.choice(tags) if rng.random() < 0.33 else None
         tds.append(task(f"t{i:03d}", cores=rng.randint(1, 24 if mpi else 8),
-                        gpus=rng.randint(0, 2), mpi=mpi, tag=tag,
+                        gpus=rng.randint(0, 2), mpi=mpi,
                         duration=round(rng.uniform(0.5, 2.0), 3)))
     return tds
 
@@ -384,17 +374,20 @@ class TestGoldenTrace:
         assert trace_sha256(tmp_path / "traces") == self.DIGEST
 
     # The scheduler's free-capacity index and shape buckets were checked
-    # against this case; they must not move a placement. No DVM is lost,
-    # but each DVM's ack latency grows with its own in-flight count.
-    TAGGED_DIGEST = "d7fc305b80485a03b438e659ee8fede0f58074fbf66d7163abb74711acf94a14"
+    # against this case; they must not move a placement. 37 nodes pad the
+    # index, and each MPI lead spans three nodes and takes GPUs. No DVM is
+    # lost, but each DVM's ack latency grows with its own in-flight count.
+    # The digest was taken from the commit before task tags were deleted:
+    # that deletion left untagged placements as they were.
+    MPI_LEAD_DIGEST = "658c082488f74613816852fb20f4e02e979f3411a3271639cda059158dda9d83"
 
-    def test_tagged_mix_on_37_nodes(self, sim_pilot, tmp_path):
+    def test_mpi_lead_mix_on_37_nodes(self, sim_pilot, tmp_path):
         lm = LatencyModel(prepare_mean_s=0.037, prepare_std_s=0.01,
                           ack_mean_s=0.135, ack_std_s=0.107, ack_scale_exponent=0.1)
         pd = sim_pilot(nodes=37, cores=16, gpus=2, dvm_max=8, lm=lm)
-        tasks, _ = run_sim(pd, tagged_mix(400, seed=6), tmp_path, seed=6)
+        tasks, _ = run_sim(pd, mpi_lead_mix(400, seed=6), tmp_path, seed=6)
         assert all(t.state == TaskState.DONE for t in tasks.values())
-        assert trace_sha256(tmp_path / "traces") == self.TAGGED_DIGEST
+        assert trace_sha256(tmp_path / "traces") == self.MPI_LEAD_DIGEST
 
     # The four cases below check that stages pop in (time, seq) order and
     # that the stages of a lost launch are emitted at the loss.
