@@ -242,7 +242,6 @@ class LocalAgent(AgentCore):
         self._ended: deque[tuple[str, int, str | None]] = deque()
         self.running: dict[str, _Running] = {}
         self._cancel = threading.Event()
-        self._stop_requested = threading.Event()
         self._thread: threading.Thread | None = None
         self.ready = threading.Event()
         self._lock = threading.Lock()
@@ -254,11 +253,9 @@ class LocalAgent(AgentCore):
                                         daemon=True)
         self._thread.start()
 
-    def stop(self, cancel: bool = False, timeout_s: float = 60.0):
-        """Request shutdown; with cancel, terminate running work."""
-        if cancel:
-            self._cancel.set()
-        self._stop_requested.set()
+    def stop(self, timeout_s: float = 60.0):
+        """Cancel every task the agent has not ended and end its thread."""
+        self._cancel.set()
         if self._thread is not None:
             self._thread.join(timeout_s)
 
@@ -275,20 +272,19 @@ class LocalAgent(AgentCore):
         while True:
             for raw in self.in_q.receive(BULK_SIZE, timeout_s=0.01):
                 self._pull(TaskDescription.from_dict(bus.unpack_message(raw)))
-            while self._ended:
+            # Counted before the cancel is looked at: an end that the cancel
+            # caused (a function that saw it and returned) comes after.
+            ended = len(self._ended)
+            if self._cancel.is_set():  # before a rescan could start what it cancels
+                self._do_cancel()
+                break
+            for _ in range(ended):
                 uid, exit_code, error = self._ended.popleft()
                 with self._lock:
                     del self.running[uid]
                 self._returned(self.tasks[uid], exit_code == 0, exit_code, error)
-            if self._cancel.is_set():  # before a rescan could start what it cancels
-                self._do_cancel()
-                break
             if self._dirty:
                 self._rescan()
-            if self._stop_requested.is_set() and not self.running \
-                    and self.scheduler.waiting_count() == 0 \
-                    and self.in_q.pending() == 0:
-                break
         self._emit("agent", "agent_stop", detail=self.pd.uid)
         self.tracer.flush()
 
@@ -312,7 +308,13 @@ class LocalAgent(AgentCore):
                     pass
                 r.thread.join(5.0)
         # Completions not yet taken are dropped: everything non-terminal,
-        # waiting or running, ends CANCELED.
+        # still queued on the bus, waiting or running, ends CANCELED.
+        while queued := self.in_q.receive(BULK_SIZE):
+            for raw in queued:
+                td = TaskDescription.from_dict(bus.unpack_message(raw))
+                if td.uid not in self.tasks:  # a duplicate uid is not its own
+                    task = self.tasks[td.uid] = Task(description=td, state=TaskState.SUBMITTED)
+                    self._end(task, TaskState.CANCELED)
         with self._lock:
             for td in self.scheduler.take_waiting():
                 self._end(self.tasks[td.uid], TaskState.CANCELED)

@@ -91,9 +91,6 @@ class Channel:
             raise ChannelClosed(f"channel {self.name!r} closed")
         return self._ep.receive(max_msgs, timeout_s)
 
-    def pending(self) -> int:
-        return len(self._ep._dq)
-
     def close(self):
         self.closed = True
         self._ep.close()

@@ -45,16 +45,21 @@ def _read_workload(path: str):
     unknown = sorted(set(cfg) - {"pilot", "pilot_profile", "tasks", "seed", "timeout_s"})
     if unknown:
         raise ValueError(f"unknown workload keys: {', '.join(unknown)}")
+    seed, timeout_s = cfg.get("seed", 0), cfg.get("timeout_s", 3600.0)
+    if type(seed) is not int:
+        raise TypeError(f"seed must be an integer, got {seed!r}")
+    if type(timeout_s) not in (int, float) or not timeout_s > 0:
+        raise ValueError(f"timeout_s must be a positive number, got {timeout_s!r}")
     if "pilot_profile" in cfg:
         pd = load_pilot_profile(cfg["pilot_profile"])
     else:
         pd = PilotDescription.from_dict(cfg["pilot"])
-    return cfg, pd, [TaskDescription.from_dict(d) for d in cfg["tasks"]]
+    return pd, [TaskDescription.from_dict(d) for d in cfg["tasks"]], seed, timeout_s
 
 
 def _cmd_run(args) -> int:
-    cfg, pd, tds = _read(args.config, _read_workload)
-    session = Session(args.workdir, seed=int(cfg.get("seed", 0)))
+    pd, tds, seed, timeout_s = _read(args.config, _read_workload)
+    session = Session(args.workdir, seed=seed)
     try:
         pm = session.create_pilot_manager()
         pm.submit_pilot(pd)
@@ -64,7 +69,7 @@ def _cmd_run(args) -> int:
         good = [h for h in handles if not isinstance(h, Exception)]
         for exc in rejected:
             print(f"rejected: {exc}", file=sys.stderr)
-        states = tm.wait_tasks(good, timeout_s=float(cfg.get("timeout_s", 3600.0)))
+        states = tm.wait_tasks(good, timeout_s=timeout_s)
     finally:
         session.close()
     done = sum(1 for s in states if s == "DONE")

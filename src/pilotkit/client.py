@@ -1,9 +1,10 @@
 """User-facing API: sessions, pilot and task managers, task handles.
 
 A Session owns the message hub (the built-in queue service), the trace
-directories and the seed. PilotManager submits pilots (local agents run in
-their own thread; simulated pilots execute deterministically on a virtual
-clock when waited on). TaskManager validates and enqueues tasks and
+directories and the seed. PilotManager submits pilots; a pilot takes any
+number of task waves until ``Session.close`` stops its agent (a local one
+runs in its own thread; a simulated one runs each wave on a virtual clock
+when it is waited on). TaskManager validates and enqueues tasks and
 round-robins them across pilots.
 """
 
@@ -69,7 +70,6 @@ class TaskHandle:
 
 
 class PilotHandle:
-    PENDING = "PENDING"
     ACTIVE = "ACTIVE"
     DONE = "DONE"
     FAILED = "FAILED"
@@ -78,11 +78,10 @@ class PilotHandle:
         self.pd = pd
         self.uid = pd.uid
         self.session = session
-        self.state = self.PENDING
-        self.agent: LocalAgent | None = None
+        self.state = self.ACTIVE
+        self.agent: LocalAgent | SimAgent | None = None
         self.tracer: Tracer | None = None
-        self.sim_buffer: list[TaskDescription] = []
-        self.sim_ran = False
+        self.sim_buffer: list[TaskDescription] = []  # the next simulated wave
         self.dvm_failures: list[tuple[int, float]] = []
 
     @property
@@ -107,9 +106,10 @@ class TaskManager:
 
     def _pick_pilot(self) -> PilotHandle:
         pilots = [p for p in self.session.pilots.values()
-                  if p.state in (PilotHandle.PENDING, PilotHandle.ACTIVE)]
+                  if p.state == PilotHandle.ACTIVE]
         if not pilots:
-            raise NoPilot("no pilot submitted")
+            known = ", ".join(f"{p.uid} {p.state}" for p in self.session.pilots.values())
+            raise NoPilot(f"no pilot takes tasks (pilots: {known or 'none'})")
         handle = pilots[self._rr % len(pilots)]
         self._rr += 1
         return handle
@@ -194,20 +194,21 @@ class Session:
         os.makedirs(handle.trace_dir, exist_ok=True)
         self.pilots[pd.uid] = handle
         if pd.fabric == Fabric.LOCAL:
-            tracer = Tracer(handle.trace_dir, enabled=self.trace_enabled, clock=self.clock)
-            tracer.meta = {"seed": self.seed, "pilot": pd.to_dict()}
-            handle.tracer = tracer
-            agent = LocalAgent(pd, self.hub, tracer, sandbox_root=self.directory,
+            agent = LocalAgent(pd, self.hub, self._pilot_tracer(handle),
+                               sandbox_root=self.directory,
                                on_end=lambda task: self._tasks_ended((task,)))
             handle.agent = agent
             agent.start()
             if not agent.ready.wait(10.0):
                 handle.state = PilotHandle.FAILED
                 raise FabricUnavailable(f"agent for pilot {pd.uid!r} did not come up")
-            handle.state = PilotHandle.ACTIVE
-        else:
-            handle.state = PilotHandle.ACTIVE
         return handle
+
+    def _pilot_tracer(self, pilot: PilotHandle) -> Tracer:
+        tracer = Tracer(pilot.trace_dir, enabled=self.trace_enabled, clock=self.clock)
+        tracer.meta = {"seed": self.seed, "pilot": pilot.pd.to_dict()}
+        pilot.tracer = tracer
+        return tracer
 
     # task state plumbing -------------------------------------------------
 
@@ -230,27 +231,20 @@ class Session:
                     h.error = task.error
             self._cond.notify_all()
 
-    def _run_sim_pilots(self):
+    def _run_sim_waves(self):
+        """Run each simulated pilot's buffered wave; its agent is built at the first."""
         for pilot in self.pilots.values():
-            if pilot.pd.fabric != Fabric.SIMULATED or not pilot.sim_buffer:
+            if not pilot.sim_buffer:
                 continue
-            if pilot.sim_ran:
-                raise PilotkitError(
-                    f"simulated pilot {pilot.uid!r} already executed its workload")
-            tracer = Tracer(pilot.trace_dir, enabled=self.trace_enabled)
-            tracer.meta = {"seed": self.seed, "pilot": pilot.pd.to_dict()}
-            pilot.tracer = tracer
-            agent = SimAgent(pilot.pd, tracer, seed=self.seed,
-                             dvm_failures=pilot.dvm_failures)
-            tasks = agent.run(pilot.sim_buffer)
-            pilot.sim_buffer = []
-            pilot.sim_ran = True
-            tracer.close()
-            self._tasks_ended(tasks.values())
-            pilot.state = PilotHandle.DONE
+            if pilot.agent is None:
+                pilot.agent = SimAgent(pilot.pd, self._pilot_tracer(pilot), seed=self.seed,
+                                       dvm_failures=pilot.dvm_failures)
+            wave, pilot.sim_buffer = pilot.sim_buffer, []
+            tasks = pilot.agent.run(wave)  # earlier waves ended with their run
+            self._tasks_ended(tasks[td.uid] for td in wave)
 
     def _wait(self, handles: list[TaskHandle], timeout_s: float) -> list[str]:
-        self._run_sim_pilots()
+        self._run_sim_waves()
         deadline = time.monotonic() + timeout_s
         with self._cond:
             while True:
@@ -265,19 +259,19 @@ class Session:
     # shutdown ------------------------------------------------------------
 
     def close(self):
-        """Finalize pilots, stop the queue service, consolidate traces."""
+        """Run the buffered simulated waves; stop and drop every agent (a local
+        one cancels what it has not ended); close the traces and the hub."""
         if self.state != "open":
             return
-        self._run_sim_pilots()
+        self._run_sim_waves()
         for pilot in self.pilots.values():
             if pilot.agent is not None:
-                has_live = any(
-                    h.pilot_uid == pilot.uid and not h.terminal
-                    for h in self.handles.values())
-                pilot.agent.stop(cancel=has_live)
-                pilot.state = PilotHandle.DONE
+                pilot.agent.stop()
+                pilot.agent = None
             if pilot.tracer is not None:
                 pilot.tracer.close()
+            if pilot.state == PilotHandle.ACTIVE:
+                pilot.state = PilotHandle.DONE
         self.tracer.emit("client", "session_close", detail=self.uid)
         self.state = "closed"
         self.tracer.close()

@@ -1,7 +1,7 @@
 """Simulated fabric: a discrete-event agent running on a virtual clock.
 
-Executes a workload of task descriptions over a simulated multi-node pilot
-with DVM-partitioned launchers. Launch latencies come from the pilot's
+Executes waves of task descriptions over a simulated multi-node pilot with
+DVM-partitioned launchers. Launch latencies come from the pilot's
 latency model; all randomness derives from one seeded generator, so a run
 is fully deterministic. Trace timestamps are virtual seconds.
 """
@@ -66,6 +66,10 @@ _EXECUTING = TaskState.EXECUTING
 class SimAgent(AgentCore):
     """Deterministic single-threaded simulation of one pilot's agent.
 
+    Building the agent traces the pilot's start-up and schedules its DVM
+    losses. Each ``run`` pulls one wave of tasks at the current virtual time
+    and runs the clock until nothing is left; ``stop`` traces the teardown.
+
     A placed task launches through the DVM that owns its first node. A
     launch is the tuple ``(uid, DVM id, DVM id as text, stage times, first
     sequence number)`` and has one entry at a time on a virtual-clock heap,
@@ -85,7 +89,8 @@ class SimAgent(AgentCore):
     leaves the clock where it is.
 
     Trace rows are stamped with the virtual time and kept per component
-    until a tracer buffer's worth is ready; the tracer gets them in one call.
+    until a tracer buffer's worth is ready, or the agent stops; the tracer
+    gets them in one call.
     """
 
     def __init__(self, pd: PilotDescription, tracer: Tracer, seed: int = 0,
@@ -93,7 +98,6 @@ class SimAgent(AgentCore):
         assert pd.fabric == Fabric.SIMULATED
         super().__init__(pd, tracer, build_node_list(pd))
         self.rng = random.Random(seed)
-        self.dvm_failures = list(dvm_failures or [])
         self.dvms = partition_dvms(self.node_list, pd.dvm_max_nodes)
         self._owner = [dvm for dvm in self.dvms for _ in dvm.node_indices]  # by node
         self._heap: list = []  # (time, seq, stage, launch), or (time, seq, LOST, DVM id)
@@ -102,6 +106,19 @@ class SimAgent(AgentCore):
         self._rows: defaultdict[str, list[tuple]] = defaultdict(list)  # not yet handed over
         self._rows_max = tracer.buffer_events
         self.now = 0.0
+        self._emit("agent", "pilot_start", detail=pd.uid)
+        for dvm in self.dvms:
+            self._emit("executor", "dvm_boot", detail=str(dvm.id))
+        self.now = pd.bootstrap_s
+        for dvm in self.dvms:
+            self._emit("executor", "dvm_ready", detail=str(dvm.id))
+        self._emit("agent", "agent_ready", detail=pd.uid)
+        for dvm_id, t in dvm_failures or ():
+            if t < pd.bootstrap_s:
+                self._on_dvm_fail(dvm_id)  # lost before it could launch anything
+            else:
+                heapq.heappush(self._heap, (t, self._seq, LOST, dvm_id))
+                self._seq += 1
 
     # backend hooks -------------------------------------------------------
 
@@ -125,35 +142,12 @@ class SimAgent(AgentCore):
 
     @_gc_paused
     def run(self, tds: list[TaskDescription]) -> dict[str, Task]:
-        """Execute the workload to completion; returns tasks by uid."""
-        try:
-            return self._run(tds)
-        finally:
-            self._hand_over_all()
-
-    def _run(self, tds: list[TaskDescription]) -> dict[str, Task]:
-        pd = self.pd
-        self.now = 0.0
-        self._emit("agent", "pilot_start", detail=pd.uid)
-        for dvm in self.dvms:
-            self._emit("executor", "dvm_boot", detail=str(dvm.id))
-        self.now = pd.bootstrap_s
-        for dvm in self.dvms:
-            self._emit("executor", "dvm_ready", detail=str(dvm.id))
-        self._emit("agent", "agent_ready", detail=pd.uid)
-        heap = self._heap
-        for dvm_id, t in self.dvm_failures:
-            if t < pd.bootstrap_s:
-                self._on_dvm_fail(dvm_id)  # lost before it could launch anything
-            else:
-                heapq.heappush(heap, (t, self._seq, LOST, dvm_id))
-                self._seq += 1
-
-        # Everything submitted is pulled at agent readiness.
+        """Pull a wave of tasks at the current virtual time and run the
+        clock until nothing is left; returns every task of the pilot by uid."""
         for td in tds:
             self._pull(td)
-
         self._rescan()
+        heap = self._heap
         dvms = self.dvms
         while heap:
             t, seq, stage, data = heapq.heappop(heap)
@@ -171,12 +165,19 @@ class SimAgent(AgentCore):
                 # End of this timestamp: every launcher lost at it has
                 # stranded its tasks before they are placed again.
                 self._rescan()
-        for task in self.tasks.values():
-            if task.state not in TERMINAL_STATES:
-                self._reject(task, "unschedulable at drain")
-        self.now += pd.teardown_s
-        self._emit("agent", "agent_stop", detail=pd.uid)
+        # Nothing is in flight, so nothing frees slots for what still waits.
+        if self.scheduler.take_waiting():
+            for task in self.tasks.values():
+                if task.state not in TERMINAL_STATES:
+                    self._reject(task, "unschedulable at drain")
         return self.tasks
+
+    def stop(self):
+        """Tear the pilot down: ``agent_stop`` comes ``teardown_s`` after
+        the last event, and the tracer gets every row not yet handed over."""
+        self.now += self.pd.teardown_s
+        self._emit("agent", "agent_stop", detail=self.pd.uid)
+        self._hand_over_all()
 
     # internals -----------------------------------------------------------
 

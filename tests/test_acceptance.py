@@ -52,6 +52,7 @@ def run_traced(pd, tds, trace_dir, seed=0, **kw):
     tracer.meta = {"seed": seed, "pilot": pd.to_dict()}
     agent = SimAgent(pd, tracer, seed=seed, **kw)
     tasks = agent.run(tds)
+    agent.stop()
     tracer.close()
     return tasks, load_session_traces(str(trace_dir))
 
@@ -72,6 +73,7 @@ def test_virtual_clock_ttx_equals_trace_ttx(tmp_path):
     tracer = Tracer(str(tmp_path / "tr"))
     agent = SimAgent(pd, tracer, seed=1)
     agent.run(tds)
+    agent.stop()
     tracer.close()
     trace = load_session_traces(str(tmp_path / "tr"))
     assert sim_ttx(agent) == pytest.approx(compute_ttx(trace), abs=1e-6)
@@ -170,6 +172,7 @@ def test_weak_scaling_flat_without_latency_rising_with_ack_model():
             tds = [task(f"t{i:06d}", duration=1.0) for i in range(n_tasks)]
             agent = SimAgent(pd, NullTracer(), seed=1)
             tasks = agent.run(tds)
+            agent.stop()
             assert all(t.state == TaskState.DONE for t in tasks.values())
             ttxs.append(sim_ttx(agent))
         return ttxs
@@ -195,6 +198,7 @@ def test_strong_scaling_generations_and_ttx_ratio():
                for i in range(16384)]
         agent = SimAgent(pd, NullTracer(), seed=2)
         tasks = agent.run(tds)
+        agent.stop()
         assert all(t.state == TaskState.DONE for t in tasks.values())
         ttx = sim_ttx(agent)
         assert round(ttx / duration) == expect_gen

@@ -31,7 +31,7 @@ def agent_env(local_pilot, tmp_path):
     agent.start()
     assert agent.ready.wait(5.0)
     yield agent, hub, tracer
-    agent.stop(cancel=True)
+    agent.stop()
     tracer.close()
     hub.close()
 
@@ -254,7 +254,7 @@ class TestLifecycle:
                 agent.tasks["long"].state != TaskState.EXECUTING:
             assert time.monotonic() < deadline
             time.sleep(0.01)
-        agent.stop(cancel=True)
+        agent.stop()
         assert [staged[u].state for u in ("in", "out", "both")] == [TaskState.DONE] * 3
         assert TaskState.STAGING_IN in state_paths["in"]
         assert TaskState.STAGING_OUT in state_paths["out"]
@@ -280,7 +280,7 @@ class TestCancel:
         while "long" not in agent.running and time.monotonic() < deadline:
             time.sleep(0.01)
         t0 = time.monotonic()
-        agent.stop(cancel=True)
+        agent.stop()
         assert time.monotonic() - t0 < 30.0  # far below the 60 s runtime
         assert agent.tasks["long"].state == TaskState.CANCELED
         assert agent.tasks["waiting"].state == TaskState.CANCELED
@@ -308,17 +308,18 @@ class TestCancel:
         [handle] = tm.submit_tasks([TaskDescription(
             uid="staged", executable="true", stage_in=((str(src), "in.txt"),))])
         assert copying.wait(10.0)
+        agent = pilot.agent  # the close drops it from the pilot
         closer = threading.Thread(target=session.close)
         closer.start()
         deadline = time.monotonic() + 10.0
-        while not pilot.agent._cancel.is_set():
+        while not agent._cancel.is_set():
             assert time.monotonic() < deadline
             time.sleep(0.01)
         release.set()
         closer.join(30.0)
         assert not closer.is_alive()
-        assert pilot.agent.tasks["staged"].state == TaskState.CANCELED
-        assert_lifecycle(pilot.agent.tasks["staged"], state_paths)
+        assert agent.tasks["staged"].state == TaskState.CANCELED
+        assert_lifecycle(agent.tasks["staged"], state_paths)
         trace = load_session_traces(pilot.trace_dir)
         assert trace.manifest["unknown_event_names"] == 0
         assert {e.name for e in trace.events} <= EVENTS.keys()
@@ -387,7 +388,7 @@ class TestDuplicateUid:
             # The refused duplicate tells no one: t0's owner hears DONE only.
             assert sorted(ends.wait(2)) == [("t0", "DONE"), ("t1", "DONE")]
         finally:
-            agent.stop(cancel=True)
+            agent.stop()
             tracer.close()
             hub.close()
         trace = load_session_traces(tracer.directory)
@@ -423,7 +424,7 @@ class TestSchedulingPressure:
             got = ends.wait(len(uids), timeout_s=60.0)
         finally:
             sys.setswitchinterval(interval)
-            agent.stop(cancel=True)
+            agent.stop()
             tracer.close()
             hub.close()
         assert sorted(got) == [(u, "DONE") for u in uids]

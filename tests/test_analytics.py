@@ -205,7 +205,9 @@ def test_load_memory_per_event(tmp_path, sim_pilot):
     pd = sim_pilot(nodes=64, cores=128,
                    lm=LatencyModel(prepare_mean_s=0.037, ack_mean_s=0.135))
     tracer = Tracer(str(tmp_path))
-    SimAgent(pd, tracer).run([task(f"t{i:06d}", duration=1.0) for i in range(8192)])
+    agent = SimAgent(pd, tracer)
+    agent.run([task(f"t{i:06d}", duration=1.0) for i in range(8192)])
+    agent.stop()
     tracer.close()
     gc.collect()
     tracemalloc.start()

@@ -130,7 +130,6 @@ class TestHub:
 def test_inproc_queue_conserves_messages(values, batch):
     ch = Channel("q")
     ch.send([pack_message(v) for v in values])
-    assert ch.pending() == len(values)
     out = []
     while True:
         got = ch.receive(max_msgs=batch, timeout_s=0)

@@ -69,6 +69,20 @@ class TestRun:
         assert "cores_per_task must be >= 1" in err[0]
         assert not (tmp_path / "wd").exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("seed", "abc"), ("seed", 1.5), ("timeout_s", "soon"), ("timeout_s", 0)])
+    def test_bad_seed_or_timeout_is_an_input_error(self, tmp_path, capsys, key, value):
+        cfg_path, cfg = workload_config(tmp_path, n_tasks=2)
+        cfg[key] = value
+        cfg_path.write_text(json.dumps(cfg))
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", str(cfg_path), "--workdir", str(tmp_path / "wd")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"pilotkit: error: {cfg_path}: "), err
+        assert f"{key} must be" in err[0], err
+        assert not (tmp_path / "wd").exists()
+
     @pytest.mark.parametrize("where, key", [
         ("task", "cores"), ("task", "tag"), ("task", "expected_runtime_s"),
         ("pilot", "dvm_max_node"), ("pilot_profile", "gpus"),

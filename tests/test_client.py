@@ -1,13 +1,16 @@
 """Session / manager API: lifecycle, validation routing, waiting,
-multi-pilot round-robin, simulated-pilot determinism."""
+multi-pilot round-robin, task waves, simulated-pilot determinism, and the
+README's Quick start."""
 
 import json
 import os
+import re
 import threading
 from pathlib import Path
 
 import pytest
 
+from pilotkit.analytics import compute_utilization, load_session_traces, replay_check
 from pilotkit.client import (
     NoPilot,
     PilotHandle,
@@ -16,7 +19,7 @@ from pilotkit.client import (
     WorkdirUnwritable,
     create_session,
 )
-from pilotkit.core import ValidationError
+from pilotkit.core import LatencyModel, TaskDescription, TaskKind, ValidationError
 
 from conftest import task
 
@@ -74,7 +77,7 @@ class TestSessionLifecycle:
 class TestSubmission:
     def test_no_pilot_raises(self, session):
         tm = session.create_task_manager()
-        with pytest.raises(NoPilot):
+        with pytest.raises(NoPilot, match=r"pilots: none"):
             tm.submit_tasks([task("t0")])
 
     def test_validation_errors_in_place(self, session, sim_pilot):
@@ -124,7 +127,7 @@ class TestSimulatedPilots:
         assert states == ["DONE"] * 8
 
     def test_traces_land_in_pilot_dir(self, session, sim_pilot):
-        from pilotkit.analytics import compute_ttx, load_session_traces
+        from pilotkit.analytics import compute_ttx
 
         pilot = session.create_pilot_manager().submit_pilot(sim_pilot(uid="px"))
         tm = session.create_task_manager()
@@ -134,6 +137,41 @@ class TestSimulatedPilots:
         trace = load_session_traces(pilot.trace_dir)
         assert compute_ttx(trace) == pytest.approx(2.0)
         assert trace.manifest["pilot"]["uid"] == "px"
+
+    def test_waves_share_one_pilot_life(self, tmp_path, sim_pilot):
+        s = create_session(str(tmp_path / "w"), seed=3, uid="s")
+        lm = LatencyModel(prepare_mean_s=0.05, prepare_std_s=0.02,
+                          ack_mean_s=0.03, ack_std_s=0.01)
+        pd = sim_pilot(uid="p0", nodes=2, cores=4, lm=lm)
+        pilot = s.create_pilot_manager().submit_pilot(pd)
+        tm = s.create_task_manager()
+        first = tm.submit_tasks([task(f"a{i:02d}", duration=1.0) for i in range(12)])
+        assert tm.wait_tasks(first) == ["DONE"] * 12
+        second = tm.submit_tasks([task(f"b{i:02d}", duration=0.5) for i in range(5)])
+        assert tm.wait_tasks(second) == ["DONE"] * 5
+        assert pilot.state == PilotHandle.ACTIVE
+        s.close()
+        assert pilot.state == PilotHandle.DONE and pilot.agent is None
+        with pytest.raises(NoPilot, match=r"pilots: p0 DONE"):
+            tm.submit_tasks([task("late")])
+        trace = load_session_traces(pilot.trace_dir)
+        for name in ("pilot_start", "agent_ready", "agent_stop"):
+            assert len(trace.by_name(name)) == 1, name
+        first_end = max(e.ts_us for e in trace.events if e.task_uid.startswith("a"))
+        pulls = {e.ts_us for e in trace.by_name("db_bridge_pull")
+                 if e.task_uid.startswith("b")}
+        assert pulls == {first_end}
+        report = compute_utilization(trace, pd)
+        span = trace.last("agent_stop").ts_us - trace.first("pilot_start").ts_us
+        assert sum(report.breakdown_us.values()) == report.total_core_us == pd.total_cores * span
+        assert replay_check(trace) == []
+
+    def test_idle_pilot_has_no_trace(self, tmp_path, sim_pilot):
+        s = create_session(str(tmp_path / "w"), uid="s")
+        pilot = s.create_pilot_manager().submit_pilot(sim_pilot())
+        s.close()
+        assert pilot.state == PilotHandle.DONE
+        assert os.listdir(pilot.trace_dir) == []
 
     def test_close_runs_pending_sim(self, tmp_path, sim_pilot):
         s = create_session(str(tmp_path / "w"), uid="s")
@@ -178,6 +216,20 @@ class TestLocalPilots:
             tm.wait_tasks(handles, timeout_s=0.3)
         assert exc.value.pending_uids == ["slow"]
 
+    def test_close_cancels_every_task_not_ended(self, tmp_path, local_pilot):
+        # More tasks than one intake takes from the bus, closed at once:
+        # some are still queued, some wait for a core, some sleep and
+        # return when they see the cancel.
+        s = create_session(str(tmp_path / "w"), uid="s")
+        s.create_pilot_manager().submit_pilot(local_pilot(cores=4))
+        tm = s.create_task_manager()
+        handles = tm.submit_tasks([
+            TaskDescription(uid=f"f{i:04d}", kind=TaskKind.FUNCTION, function="sleep",
+                            arguments=("--duration", "0.5"))
+            for i in range(3000)])
+        s.close()
+        assert {h.state for h in handles} == {"CANCELED"}
+
     def test_mixed_fabrics_one_session(self, session, local_pilot, sim_pilot):
         pm = session.create_pilot_manager()
         pm.submit_pilot(local_pilot(uid="pl"))
@@ -188,3 +240,13 @@ class TestLocalPilots:
         assert states == ["DONE"] * 4
         by_pilot = {h.pilot_uid for h in handles}
         assert by_pilot == {"pl", "ps"}
+
+
+def test_readme_quick_start_runs(tmp_path, monkeypatch, capsys):
+    """The README's Quick start block runs as written."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    section = readme.read_text().split("## Quick start (API)", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    monkeypatch.chdir(tmp_path)
+    exec(compile(code, str(readme), "exec"), {})
+    assert capsys.readouterr().out.strip()

@@ -32,6 +32,7 @@ def run_sim(pd, tds, tmp_path, seed=0, **kw):
     tracer.meta["pilot"] = pd.to_dict()
     agent = SimAgent(pd, tracer, seed=seed, **kw)
     tasks = agent.run(tds)
+    agent.stop()
     tracer.close()
     return tasks, load_session_traces(str(tmp_path / "traces"))
 
@@ -143,6 +144,7 @@ class TestFaultTolerance:
         tracer = Tracer(str(tmp_path / "tr"))
         agent = SimAgent(pd, tracer, dvm_failures=[(0, 0.2), (1, 0.4)])
         tasks = agent.run([task("t0", duration=10.0)])
+        agent.stop()
         tracer.close()
         assert tasks["t0"].state == TaskState.FAILED
 
@@ -191,6 +193,7 @@ class TestFaultTolerance:
         tracer = Tracer(str(tmp_path / "tr"))
         agent = SimAgent(pd, tracer, dvm_failures=[(0, 0.2), (1, 0.2)])
         tasks = agent.run([task(f"t{i}", duration=10.0) for i in range(6)])
+        agent.stop()
         tracer.close()
         assert all(t.state == TaskState.FAILED for t in tasks.values())
 

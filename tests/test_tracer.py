@@ -207,7 +207,12 @@ def through_simulator(directory, events, **kw):
     """The simulated fabric's trace path: rows stamped with the agent's
     virtual time, kept per component and handed over in batches."""
     tr = Tracer(directory, **kw)
-    agent = SimAgent(PilotDescription(uid="p", fabric=Fabric.SIMULATED), tr)
+    # The agent's own start-up goes to a throwaway tracer: only the stream
+    # is compared.
+    agent = SimAgent(PilotDescription(uid="p", fabric=Fabric.SIMULATED),
+                     Tracer(directory, **dict(kw, enabled=False)))
+    agent._rows.clear()
+    agent.tracer = tr
     for ts, component, name, uid, detail in events:
         agent.now = ts
         agent._emit(component, name, uid, detail)
