@@ -2,10 +2,18 @@
 
 A trace is read once into per-launch records (:attr:`Trace.attempts`), one
 per ``schedule_ok``; utilization, TTX, replay and the latency means read
-those. All accounting runs on integer microseconds so the per-slot
-utilization partition sums to the available core-time with zero residual.
-GPU slots are tracked for placement correctness but excluded from the
-core-time denominator.
+those. All accounting runs on integer microseconds. GPU slots are tracked
+for placement correctness but excluded from the core-time denominator.
+
+The passes after the load are flat sweeps in schedule order: utilization
+and replay walk the launches once, the concurrency series walks the events
+once, and each keeps only integers or the latest launch per slot. Nothing
+is sorted again and nothing is collected per slot. On a valid trace a core
+slot's launches follow one another in schedule order, so a launch adds its
+stage spans once and each slot adds only the gaps between its launches.
+``compute_utilization`` raises IncompleteTrace, naming the slot and the
+uids, for a launch placed outside the pilot and for one that prepares on a
+core before the slot's previous launch ended (a double-booked slot).
 """
 
 from __future__ import annotations
@@ -73,18 +81,47 @@ class Attempt:
 
     @property
     def complete(self) -> bool:
-        return None not in (self.prep_us, self.exec_start_us,
-                            self.exec_stop_us, self.end_us)
+        return (self.prep_us is not None and self.exec_start_us is not None
+                and self.exec_stop_us is not None and self.end_us is not None)
 
 
-# The events of a launch, each with the Attempt field it sets.
-_LAUNCH_STAGES = {"schedule_ok": "sched_us", "prepare_start": "prep_us",
-                  "exec_start": "exec_start_us", "exec_stop": "exec_stop_us",
-                  "spawn_return": "end_us", "launch_lost": "end_us"}
+# The stage index of each launch event: 0 opens a launch, 1-5 stamp it.
+_STAGE = {"schedule_ok": 0, "prepare_start": 1, "exec_start": 2, "exec_stop": 3,
+          "spawn_return": 4, "launch_lost": 5}
+
+
+def _stamp(a: Attempt, stage: int, ts: int) -> bool:
+    """Stamp launch ``a`` with stage 1-5 at ``ts`` unless it has that
+    stage already; returns whether it stamped."""
+    if stage == 1:
+        if a.prep_us is not None:
+            return False
+        a.prep_us = ts
+    elif stage == 2:
+        if a.exec_start_us is not None:
+            return False
+        a.exec_start_us = ts
+    elif stage == 3:
+        if a.exec_stop_us is not None:
+            return False
+        a.exec_stop_us = ts
+    else:
+        if a.end_us is not None:
+            return False
+        a.end_us = ts
+        a.returned = stage == 4
+    return True
 
 
 @dataclass
 class Trace:
+    """One pilot's events and manifest.
+
+    ``events`` are in ``(ts_us, rank)`` order, as :func:`load_session_traces`
+    sorts them, where rank is the lifecycle rank of the event name in the
+    tracer's event table; so ``attempts`` are in schedule order. The passes
+    of this module rely on that order and sort nothing again: a Trace built
+    by hand must keep it."""
     events: list[TraceEvent]
     manifest: dict
     corrupt_lines: int = 0
@@ -113,22 +150,30 @@ class Trace:
         with its DVM sort after the ``schedule_ok`` and first stages of the
         task's next launch."""
         out: list[Attempt] = []
-        by_uid: dict[str, list[Attempt]] = {}
-        stamp_of = _LAUNCH_STAGES.get
+        # uid -> its launch, or the list of its launches once relaunched
+        launches: dict[str, Attempt | list[Attempt]] = {}
+        stage_of = _STAGE.get
         for ts, _, name, uid, detail in self.events:
-            stamp = stamp_of(name)
-            if stamp == "sched_us":
+            stage = stage_of(name)
+            if stage is None:
+                continue
+            a = launches.get(uid)
+            if stage == 0:
                 placement, _, mpi = parse_schedule_detail(detail)
-                a = Attempt(uid, placement, mpi, ts)
-                out.append(a)
-                by_uid.setdefault(uid, []).append(a)
-            elif stamp is not None:
-                for a in by_uid.get(uid, ()):
-                    if getattr(a, stamp) is None:
-                        setattr(a, stamp, ts)
-                        if stamp == "end_us":
-                            a.returned = name == "spawn_return"
+                new = Attempt(uid, placement, mpi, ts)
+                out.append(new)
+                if a is None:
+                    launches[uid] = new
+                elif a.__class__ is list:
+                    a.append(new)
+                else:
+                    launches[uid] = [a, new]
+            elif a.__class__ is list:
+                for b in a:
+                    if _stamp(b, stage, ts):
                         break
+            elif a is not None:
+                _stamp(a, stage, ts)
         return out
 
 
@@ -160,7 +205,7 @@ def load_session_traces(directory: str) -> Trace:
                 ts, component, name, uid, detail = parts
                 try:
                     ts_us = round(float(ts) * US)
-                except ValueError:
+                except (ValueError, OverflowError):  # not a number, nan, inf
                     corrupt += 1
                     continue
                 events.append(new(TraceEvent, (ts_us, share(component, component),
@@ -174,15 +219,19 @@ def compute_ttx(trace: Trace) -> float:
     """Workload time-to-execution: first task pull to the last launch end,
     returned or lost."""
     first_pull = trace.first("db_bridge_pull")
-    ends = [a.end_us for a in trace.attempts if a.end_us is not None]
-    if first_pull is None or not ends:
+    end = max((a.end_us for a in trace.attempts if a.end_us is not None), default=None)
+    if first_pull is None or end is None:
         raise NoTasks("trace has no completed tasks")
-    return (max(ends) - first_pull.ts_us) / US
+    return (end - first_pull.ts_us) / US
 
 
 def parse_schedule_detail(detail: str) -> tuple[Placement, int | None, bool]:
     """Split a schedule_ok detail into (placement, dvm_id, uses_mpi)."""
     fields = detail.split("|")
+    if len(fields) == 3:  # the simulator's own form, placement|dvm=N|mpi=B
+        text, dvm, mpi = fields
+        if dvm[:4] == "dvm=" and mpi[:4] == "mpi=":
+            return parse_placement(text), int(dvm[4:]), mpi == "mpi=1"
     placement = parse_placement(fields[0])
     dvm_id = None
     mpi = False
@@ -218,6 +267,12 @@ def compute_utilization(trace: Trace, pd: PilotDescription) -> UtilizationReport
     launch lost with its DVM, prepare_start -> launch_lost; drain also
     takes the post-workload teardown; idle: the rest. The partition is
     exact in integer microseconds.
+
+    One walk of the launches in schedule order: a launch adds its stage
+    spans times its core count, and each slot adds its gap before the
+    launch, warmup before its first and idle after that. A launch outside
+    the pilot, or one that prepares on a core before the slot's previous
+    launch ended, raises IncompleteTrace.
     """
     start = trace.first("pilot_start")
     ready = trace.first("agent_ready")
@@ -231,54 +286,59 @@ def compute_utilization(trace: Trace, pd: PilotDescription) -> UtilizationReport
     if incomplete:
         raise IncompleteTrace(f"tasks missing lifecycle events: {sorted(incomplete)[:10]}")
 
-    G = max((a.end_us for a in attempts), default=R)
-
-    # slot key -> list of (prep, exec_start, exec_stop, end, returned)
-    cpn = pd.cores_per_node
-    per_slot: dict[int, list[tuple[int, int, int, int, bool]]] = {}
+    nodes, cpn, gpn = pd.nodes, pd.cores_per_node, pd.gpus_per_node
+    total_cores = pd.total_cores
+    latest: list[Attempt | None] = [None] * total_cores  # per core slot, node * cpn + core
+    cores_by_task: dict[str, int] = {}
+    warmup = idle = prepare_exec = exec_cmd = drain = lost = 0
+    G = R
     for a in attempts:
-        iv = (a.prep_us, a.exec_start_us, a.exec_stop_us, a.end_us, a.returned)
-        for node, cores, _ in a.placement:
+        prep, end = a.prep_us, a.end_us
+        k = 0
+        for node, cores, gpus in a.placement:
+            on_pilot = 0 <= node < nodes
             base = node * cpn
             for c in cores:
-                per_slot.setdefault(base + c, []).append(iv)
+                if not (on_pilot and 0 <= c < cpn):
+                    raise IncompleteTrace(f"core slot ({node}, {c}) of {a.uid} is outside "
+                                          f"the pilot's {nodes} x {cpn} cores")
+                slot = base + c
+                prev = latest[slot]
+                if prev is None:
+                    warmup += prep - R
+                elif prep < prev.end_us:
+                    raise IncompleteTrace(
+                        f"core slot ({node}, {c}) double-booked: {a.uid} prepares at "
+                        f"{prep} us, before {prev.uid} ends at {prev.end_us} us")
+                else:
+                    idle += prep - prev.end_us
+                latest[slot] = a
+            for g in gpus:
+                if not (on_pilot and 0 <= g < gpn):
+                    raise IncompleteTrace(f"gpu slot ({node}, {g}) of {a.uid} is outside "
+                                          f"the pilot's {nodes} x {gpn} gpus")
+            k += len(cores)
+        if a.returned:
+            es, eo = a.exec_start_us, a.exec_stop_us
+            prepare_exec += k * (es - prep)
+            exec_cmd += k * (eo - es)
+            drain += k * (end - eo)
+        else:
+            lost += k * (end - prep)
+        if end > G:
+            G = end
+        cores_by_task[a.uid] = k
 
-    total_cores = pd.total_cores
-    acc = {cat: 0 for cat in CATEGORIES}
-    acc["pilot_startup"] = total_cores * (R - P)
-    # Slots that never ran a task: idle through the workload, drain at teardown.
-    idle_slots = total_cores - len(per_slot)
-    acc["idle"] += idle_slots * (G - R)
-    acc["drain"] += idle_slots * (S - G)
-
-    for ivs in per_slot.values():
-        ivs.sort()
-        cursor = R
-        first = True
-        for prep, es, eo, end, returned in ivs:
-            if first:
-                acc["warmup"] += prep - cursor
-                first = False
-            else:
-                acc["idle"] += prep - cursor
-            if returned:
-                acc["prepare_exec"] += es - prep
-                acc["exec_cmd"] += eo - es
-                acc["drain"] += end - eo
-            else:
-                acc["lost"] += end - prep
-            cursor = end
-        acc["idle"] += G - cursor
-        acc["drain"] += S - G
+    # After its last launch a slot idles to the last launch end; a slot
+    # that ran nothing idles from agent_ready. Every slot drains after that.
+    idle += (G - R) * latest.count(None) + sum(G - b.end_us for b in latest if b is not None)
+    drain += total_cores * (S - G)
+    acc = {"pilot_startup": total_cores * (R - P), "warmup": warmup,
+           "prepare_exec": prepare_exec, "exec_cmd": exec_cmd, "idle": idle,
+           "drain": drain, "lost": lost}
 
     total_us = total_cores * (S - P)
-    residual = total_us - sum(acc.values())
-    if residual != 0:
-        raise IncompleteTrace(f"utilization partition residual {residual} us (slot overlap?)")
-
     ttx = compute_ttx(trace) if attempts else 0.0
-    cores_by_task = {a.uid: sum(len(cores) for _, cores, _ in a.placement)
-                     for a in attempts}
     demand = sum(cores_by_task.values())
     generations = math.ceil(demand / total_cores) if demand else 0
     ru = 100.0 * acc["exec_cmd"] / total_us if total_us else 0.0
@@ -322,34 +382,37 @@ def concurrency_series(trace: Trace, bin_width_s: float,
                        start_name: str = "exec_start",
                        stop_name: str = "exec_stop") -> TimeSeries:
     """Time-weighted average concurrency per bin; integrates to the total
-    active time exactly."""
+    active time exactly. One walk of the events in time order; the order
+    of events within one instant does not change any bin."""
     width_us = bin_width_us(bin_width_s)
-    deltas: list[tuple[int, int]] = []
-    for e in trace.events:
-        if e.name == start_name:
-            deltas.append((e.ts_us, 1))
-        elif e.name == stop_name:
-            deltas.append((e.ts_us, -1))
-    if not deltas:
-        return TimeSeries(bin_width_s, 0.0, [])
-    deltas.sort()
-    t0 = deltas[0][0]
-    t_end = deltas[-1][0]
-    nbins = max(1, math.ceil((t_end - t0) / width_us)) if t_end > t0 else 1
-    occupancy = [0] * nbins  # integral of concurrency over each bin, in us
+    occupancy: list[int] = []  # integral of concurrency over each bin, in us
+    t0 = prev = None
     level = 0
-    prev = t0
-    for ts, d in deltas:
-        # distribute level over [prev, ts)
-        if ts > prev and level > 0:
-            b0 = (prev - t0) // width_us
-            b1 = (ts - t0 - 1) // width_us
-            for b in range(b0, b1 + 1):
-                lo = max(prev, t0 + b * width_us)
-                hi = min(ts, t0 + (b + 1) * width_us)
-                occupancy[b] += level * (hi - lo)
-        level += d
-        prev = ts
+    for ts, _, name, _, _ in trace.events:
+        if name == start_name:
+            step = 1
+        elif name == stop_name:
+            step = -1
+        else:
+            continue
+        if t0 is None:
+            t0 = prev = ts
+        elif ts > prev:
+            if level > 0:  # distribute level over [prev, ts)
+                b0 = (prev - t0) // width_us
+                b1 = (ts - t0 - 1) // width_us
+                if b1 >= len(occupancy):
+                    occupancy += [0] * (b1 + 1 - len(occupancy))
+                for b in range(b0, b1 + 1):
+                    lo = max(prev, t0 + b * width_us)
+                    hi = min(ts, t0 + (b + 1) * width_us)
+                    occupancy[b] += level * (hi - lo)
+            prev = ts
+        level += step
+    if t0 is None:
+        return TimeSeries(bin_width_s, 0.0, [])
+    nbins = max(1, math.ceil((prev - t0) / width_us)) if prev > t0 else 1
+    occupancy += [0] * (nbins - len(occupancy))
     values = [(round((t0 + i * width_us) / US, 6), occ / width_us)
               for i, occ in enumerate(occupancy)]
     return TimeSeries(bin_width_s, t0 / US, values)
@@ -391,30 +454,38 @@ def latency_stats(trace: Trace) -> dict[str, float]:
 
 def replay_check(trace: Trace) -> list[str]:
     """Replay every launch's placement over [schedule_ok, end); report slot
-    oversubscription and single-node-rule violations."""
+    oversubscription and single-node-rule violations. One walk of the
+    launches in schedule order: a launch double-books a slot when it is
+    scheduled before the end of the slot's latest launch."""
     violations: list[str] = []
-    core_iv: dict[tuple[int, int], list[tuple[int, int, str]]] = {}
-    gpu_iv: dict[tuple[int, int], list[tuple[int, int, str]]] = {}
+    # slot key, node << 32 | index -> the slot's latest launch
+    core_at: dict[int, Attempt] = {}
+    gpu_at: dict[int, Attempt] = {}
     for a in trace.attempts:
         if a.end_us is None:
             continue
         if not a.uses_mpi and len(a.placement) > 1:
             violations.append(f"non-MPI task {a.uid} spans nodes")
-        iv = (a.sched_us, a.end_us, a.uid)
         for node, cores, gpus in a.placement:
             for c in cores:
-                core_iv.setdefault((node, c), []).append(iv)
+                key = node << 32 | c
+                prev = core_at.get(key)
+                if prev is not None and a.sched_us < prev.end_us:
+                    violations.append(_double_booked("core", node, c, prev, a))
+                core_at[key] = a
             for g in gpus:
-                gpu_iv.setdefault((node, g), []).append(iv)
-    for label, table in (("core", core_iv), ("gpu", gpu_iv)):
-        for slot, ivs in table.items():
-            ivs.sort()
-            for (s1, e1, u1), (s2, e2, u2) in zip(ivs, ivs[1:]):
-                if s2 < e1:
-                    violations.append(
-                        f"{label} slot {slot} double-booked: {u1} [{s1},{e1}) vs "
-                        f"{u2} [{s2},{e2})")
+                key = node << 32 | g
+                prev = gpu_at.get(key)
+                if prev is not None and a.sched_us < prev.end_us:
+                    violations.append(_double_booked("gpu", node, g, prev, a))
+                gpu_at[key] = a
     return violations
+
+
+def _double_booked(label: str, node: int, index: int, first: Attempt, second: Attempt) -> str:
+    return (f"{label} slot {(node, index)} double-booked: {first.uid} "
+            f"[{first.sched_us},{first.end_us}) vs {second.uid} "
+            f"[{second.sched_us},{second.end_us})")
 
 
 def emit_report(report: UtilizationReport, series: tuple[TimeSeries, TimeSeries] | None,

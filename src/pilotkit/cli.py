@@ -17,7 +17,7 @@ from .analytics import (
     emit_report,
     load_session_traces,
 )
-from .client import Session
+from .client import Session, WaitTimeout
 from .core import PilotDescription, TaskDescription, ValidationError, load_pilot_profile
 from .harness import ExperimentSpec, run_experiment
 
@@ -69,7 +69,11 @@ def _cmd_run(args) -> int:
         good = [h for h in handles if not isinstance(h, Exception)]
         for exc in rejected:
             print(f"rejected: {exc}", file=sys.stderr)
-        states = tm.wait_tasks(good, timeout_s=timeout_s)
+        try:
+            states = tm.wait_tasks(good, timeout_s=timeout_s)
+        except WaitTimeout as exc:
+            print(f"timeout_s {timeout_s} passed: {exc}", file=sys.stderr)
+            states = [h.state for h in good]
     finally:
         session.close()
     done = sum(1 for s in states if s == "DONE")

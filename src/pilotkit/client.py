@@ -43,6 +43,11 @@ class FabricUnavailable(PilotkitError):
     pass
 
 
+class SessionExists(PilotkitError):
+    """The session directory already holds a session: a session never
+    writes into another one's traces."""
+
+
 class WaitTimeout(PilotkitError):
     def __init__(self, pending_uids: list[str]):
         super().__init__(f"{len(pending_uids)} tasks not terminal")
@@ -162,6 +167,12 @@ class Session:
         self.seed = seed
         self.directory = os.path.join(workdir, uid)
         os.makedirs(self.directory, exist_ok=True)
+        try:
+            with open(os.path.join(self.directory, "session.json"), "x") as fh:
+                json.dump({"uid": uid, "seed": seed}, fh, indent=2)
+        except FileExistsError:
+            raise SessionExists(
+                f"session directory {self.directory!r} already holds a session") from None
         self.trace_enabled = trace_enabled
         self.hub = bus.MessageHub()
         self._t0 = time.monotonic()
@@ -174,8 +185,6 @@ class Session:
         self.state = "open"
         self._cond = threading.Condition()
         self.tracer.emit("client", "session_start", detail=uid)
-        with open(os.path.join(self.directory, "session.json"), "w") as fh:
-            json.dump({"uid": uid, "seed": seed}, fh, indent=2)
 
     # managers ------------------------------------------------------------
 

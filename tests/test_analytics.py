@@ -5,6 +5,7 @@ report emission."""
 import csv
 import gc
 import json
+import math
 import os
 import tracemalloc
 
@@ -13,15 +14,19 @@ from hypothesis import given, settings, strategies as st
 
 from pilotkit.analytics import (
     CATEGORIES,
+    Attempt,
     IncompleteTrace,
     ManifestMissing,
     NoTasks,
+    TimeSeries,
     Trace,
     TraceEvent,
     UnwritableOutput,
+    UtilizationReport,
     US,
     compute_ttx,
     compute_utilization,
+    concurrency_and_rate_series,
     concurrency_series,
     emit_report,
     latency_stats,
@@ -31,6 +36,7 @@ from pilotkit.analytics import (
     replay_check,
 )
 from pilotkit.core import Fabric, LatencyModel, PilotDescription
+from pilotkit.scheduler import format_placement, parse_placement
 from pilotkit.simulator import SimAgent
 from pilotkit.tracer import EVENTS, UNKNOWN_RANK, Tracer
 
@@ -136,7 +142,7 @@ def reference_load(directory):
                     continue
                 try:
                     ts_us = round(float(parts[0]) * US)
-                except ValueError:
+                except (ValueError, OverflowError):
                     corrupt += 1
                     continue
                 events.append(TraceEvent(ts_us, *parts[1:]))
@@ -150,7 +156,8 @@ _event_lines = st.builds(
     st.integers(-4, 12), st.sampled_from(["agent", "executor", "x"]), _names,
     st.sampled_from(["", "t0", "t1", "task.000002"]),
     st.text(alphabet="0123456789:;,|=dvmpi", max_size=12))
-_corrupt_lines = st.sampled_from(["mangled", "", "1.0,a,b", "nan,a,b,c,d", "x,a,b,c,d"])
+_corrupt_lines = st.sampled_from(["mangled", "", "1.0,a,b", "nan,a,b,c,d", "x,a,b,c,d",
+                                  "inf,a,b,c,d"])
 
 
 @settings(max_examples=60, deadline=None)
@@ -197,22 +204,31 @@ def test_bulk_passes_leave_gc_state_as_found(tmp_path, gc_restored, enabled):
     assert gc.isenabled() is enabled
 
 
-def test_load_memory_per_event(tmp_path, sim_pilot):
-    """A loaded 8,192-task simulated trace keeps at most 200 B per event and
-    peaks at 260 B per event (tracemalloc, which counts deterministically).
-    A loader that copies every name and uid and sorts on tuple keys keeps
-    313 B and peaks at 382 B."""
-    pd = sim_pilot(nodes=64, cores=128,
-                   lm=LatencyModel(prepare_mean_s=0.037, ack_mean_s=0.135))
-    tracer = Tracer(str(tmp_path))
+@pytest.fixture(scope="module")
+def sim_8192(tmp_path_factory):
+    """The trace directory of 8,192 one-core tasks on a 64 x 128-core
+    simulated pilot, and the pilot."""
+    directory = str(tmp_path_factory.mktemp("sim_8192"))
+    pd = PilotDescription(uid="p0", fabric=Fabric.SIMULATED, nodes=64, cores_per_node=128,
+                          latency_model=LatencyModel(prepare_mean_s=0.037, ack_mean_s=0.135))
+    tracer = Tracer(directory)
     agent = SimAgent(pd, tracer)
     agent.run([task(f"t{i:06d}", duration=1.0) for i in range(8192)])
     agent.stop()
     tracer.close()
+    return directory, pd
+
+
+def test_load_memory_per_event(sim_8192):
+    """A loaded 8,192-task simulated trace keeps at most 200 B per event and
+    peaks at 260 B per event (tracemalloc, which counts deterministically).
+    A loader that copies every name and uid and sorts on tuple keys keeps
+    313 B and peaks at 382 B."""
+    directory, _ = sim_8192
     gc.collect()
     tracemalloc.start()
     try:
-        trace = load_session_traces(str(tmp_path))
+        trace = load_session_traces(directory)
         retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -220,6 +236,29 @@ def test_load_memory_per_event(tmp_path, sim_pilot):
     assert n == 7 * 8192 + 5
     assert retained / n <= 200
     assert peak / n <= 260
+
+
+@pytest.mark.parametrize("run, bound", [
+    (lambda trace, pd: compute_utilization(trace, pd), 64),
+    (lambda trace, pd: replay_check(trace), 100),
+    (lambda trace, pd: concurrency_and_rate_series(trace, 1.0), 32),
+], ids=["compute_utilization", "replay_check", "concurrency_and_rate_series"])
+def test_pass_memory_per_launch(sim_8192, run, bound):
+    """The passes after the load keep flat per-slot state: on the
+    8,192-task trace each peaks at a few dozen bytes per launch
+    (tracemalloc). Per-slot lists with their sorts, or a tuple per event,
+    peak at 273, 244 and 129 B per launch."""
+    directory, pd = sim_8192
+    trace = load_session_traces(directory)
+    assert len(trace.attempts) == 8192
+    gc.collect()
+    tracemalloc.start()
+    try:
+        run(trace, pd)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / 8192 <= bound
 
 
 class TestTtxAndTimelines:
@@ -335,6 +374,36 @@ class TestUtilization:
         trace = synth_trace(rows)
         rep = compute_utilization(trace, pilot(cores=2))
         assert rep.generations == 6  # each task takes both cores
+
+    @pytest.mark.parametrize("rows, message", [
+        ([("t0", "0:0:", 0.1, 0.1, 0.2, 1.2, 1.3), ("t1", "0:0:", 0.5, 0.5, 0.6, 1.6, 1.7)],
+         "core slot (0, 0) double-booked: t1 prepares at 500000 us, before t0 ends at "
+         "1300000 us"),
+        ([("t0", "0:1:", 0.1, 0.1, 0.2, 1.2, 1.3), ("t1", "0:0,1:", 0.2, 0.2, 0.3, 1.3, 1.4)],
+         "core slot (0, 1) double-booked: t1 prepares at 200000 us, before t0 ends at "
+         "1300000 us"),
+        ([("t0", "0:0,0:", 0.1, 0.1, 0.2, 1.2, 1.3)],
+         "core slot (0, 0) double-booked: t0 prepares at 100000 us, before t0 ends at "
+         "1300000 us"),
+    ], ids=["two_launches", "two_core_launch", "one_launch_twice"])
+    def test_double_booked_slot_raises(self, rows, message):
+        """Per-slot categories telescope to the slot's span whatever the
+        launches on it, so an exact partition cannot show double-booking."""
+        trace = synth_trace(rows)
+        with pytest.raises(IncompleteTrace) as exc:
+            compute_utilization(trace, pilot(cores=2))
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("placement, message", [
+        ("0:2:", "core slot (0, 2) of t0 is outside the pilot's 1 x 2 cores"),
+        ("1:0:", "core slot (1, 0) of t0 is outside the pilot's 1 x 2 cores"),
+        ("0:0:1", "gpu slot (0, 1) of t0 is outside the pilot's 1 x 1 gpus"),
+    ], ids=["core", "node", "gpu"])
+    def test_slot_outside_the_pilot_raises(self, placement, message):
+        trace = synth_trace([("t0", placement, 0.1, 0.1, 0.2, 1.2, 1.3)])
+        with pytest.raises(IncompleteTrace) as exc:
+            compute_utilization(trace, pilot(cores=2, gpus=1))
+        assert str(exc.value) == message
 
     def test_gpus_excluded_from_denominator(self):
         trace = synth_trace([("t0", "0:0:0", 0.1, 0.2, 0.3, 1.3, 1.5)], stop=2.0)
@@ -471,3 +540,227 @@ def test_serial_chain_partition_exact(chain):
     rep = compute_utilization(trace, pilot(cores=1))
     assert sum(rep.breakdown_us.values()) == rep.total_core_us
     assert replay_check(trace) == []
+
+
+# Plain references: the per-slot lists and sorts that the sweeps replace.
+
+def reference_attempts(events):
+    """Every launch in schedule order; a stage event goes to the earliest
+    launch of its task that lacks that stage, set by field name."""
+    stamps = {"schedule_ok": "sched_us", "prepare_start": "prep_us",
+              "exec_start": "exec_start_us", "exec_stop": "exec_stop_us",
+              "spawn_return": "end_us", "launch_lost": "end_us"}
+    out, by_uid = [], {}
+    for ts, _, name, uid, detail in events:
+        stamp = stamps.get(name)
+        if stamp == "sched_us":
+            fields = detail.split("|")
+            a = Attempt(uid, parse_placement(fields[0]), "mpi=1" in fields[1:], ts)
+            out.append(a)
+            by_uid.setdefault(uid, []).append(a)
+        elif stamp is not None:
+            for a in by_uid.get(uid, ()):
+                if getattr(a, stamp) is None:
+                    setattr(a, stamp, ts)
+                    if stamp == "end_us":
+                        a.returned = name == "spawn_return"
+                    break
+    return out
+
+
+def reference_utilization(trace, pd):
+    """Each slot's launches collected and sorted, then walked from
+    agent_ready; the partition must sum to cores x span."""
+    P = trace.first("pilot_start").ts_us
+    R = trace.first("agent_ready").ts_us
+    S = trace.last("agent_stop").ts_us
+    attempts = reference_attempts(trace.events)
+    assert all(a.complete for a in attempts)
+    G = max((a.end_us for a in attempts), default=R)
+    cpn = pd.cores_per_node
+    per_slot = {}
+    for a in attempts:
+        iv = (a.prep_us, a.exec_start_us, a.exec_stop_us, a.end_us, a.returned)
+        for node, cores, _ in a.placement:
+            for c in cores:
+                per_slot.setdefault(node * cpn + c, []).append(iv)
+    total_cores = pd.total_cores
+    acc = {cat: 0 for cat in CATEGORIES}
+    acc["pilot_startup"] = total_cores * (R - P)
+    idle_slots = total_cores - len(per_slot)
+    acc["idle"] += idle_slots * (G - R)
+    acc["drain"] += idle_slots * (S - G)
+    for ivs in per_slot.values():
+        ivs.sort()
+        cursor = R
+        first = True
+        for prep, es, eo, end, returned in ivs:
+            if first:
+                acc["warmup"] += prep - cursor
+                first = False
+            else:
+                acc["idle"] += prep - cursor
+            if returned:
+                acc["prepare_exec"] += es - prep
+                acc["exec_cmd"] += eo - es
+                acc["drain"] += end - eo
+            else:
+                acc["lost"] += end - prep
+            cursor = end
+        acc["idle"] += G - cursor
+        acc["drain"] += S - G
+    total_us = total_cores * (S - P)
+    assert sum(acc.values()) == total_us
+    ttx = (G - trace.first("db_bridge_pull").ts_us) / US if attempts else 0.0
+    cores_by_task = {a.uid: sum(len(cores) for _, cores, _ in a.placement) for a in attempts}
+    demand = sum(cores_by_task.values())
+    ovh_us = acc["pilot_startup"] + acc["warmup"] + acc["prepare_exec"] + acc["drain"]
+    return UtilizationReport(
+        ttx_s=ttx, total_core_s=total_us / US,
+        breakdown={cat: v / US for cat, v in acc.items()},
+        ru_pct=100.0 * acc["exec_cmd"] / total_us if total_us else 0.0,
+        ovh_pct=100.0 * ovh_us / total_us if total_us else 0.0,
+        tasks=len(cores_by_task),
+        generations=math.ceil(demand / total_cores) if demand else 0,
+        cores=total_cores, breakdown_us=acc, total_core_us=total_us)
+
+
+def reference_replay(trace):
+    """Each slot's [schedule_ok, end) intervals sorted; consecutive ones
+    that overlap are double-booked."""
+    violations = []
+    core_iv, gpu_iv = {}, {}
+    for a in reference_attempts(trace.events):
+        if a.end_us is None:
+            continue
+        if not a.uses_mpi and len(a.placement) > 1:
+            violations.append(f"non-MPI task {a.uid} spans nodes")
+        iv = (a.sched_us, a.end_us, a.uid)
+        for node, cores, gpus in a.placement:
+            for c in cores:
+                core_iv.setdefault((node, c), []).append(iv)
+            for g in gpus:
+                gpu_iv.setdefault((node, g), []).append(iv)
+    for label, table in (("core", core_iv), ("gpu", gpu_iv)):
+        for slot, ivs in table.items():
+            ivs.sort()
+            for (s1, e1, u1), (s2, e2, u2) in zip(ivs, ivs[1:]):
+                if s2 < e1:
+                    violations.append(f"{label} slot {slot} double-booked: {u1} [{s1},{e1}) "
+                                      f"vs {u2} [{s2},{e2})")
+    return violations
+
+
+def reference_concurrency(trace, bin_width_s, start_name="exec_start", stop_name="exec_stop"):
+    """A (ts, +-1) tuple per start and stop, sorted, then swept."""
+    width_us = round(bin_width_s * US)
+    deltas = sorted([(e.ts_us, 1) for e in trace.events if e.name == start_name]
+                    + [(e.ts_us, -1) for e in trace.events if e.name == stop_name])
+    if not deltas:
+        return TimeSeries(bin_width_s, 0.0, [])
+    t0, t_end = deltas[0][0], deltas[-1][0]
+    nbins = max(1, math.ceil((t_end - t0) / width_us)) if t_end > t0 else 1
+    occupancy = [0] * nbins
+    level, prev = 0, t0
+    for ts, d in deltas:
+        if ts > prev and level > 0:
+            for b in range((prev - t0) // width_us, (ts - t0 - 1) // width_us + 1):
+                lo = max(prev, t0 + b * width_us)
+                hi = min(ts, t0 + (b + 1) * width_us)
+                occupancy[b] += level * (hi - lo)
+        level += d
+        prev = ts
+    return TimeSeries(bin_width_s, t0 / US,
+                      [(round((t0 + i * width_us) / US, 6), occ / width_us)
+                       for i, occ in enumerate(occupancy)])
+
+
+@st.composite
+def launch_traces(draw):
+    """A trace of up to 12 launches on a 1-4 node x 1-4 core x 0-2 GPU
+    pilot, in microseconds: MPI spans, launches lost with their DVM and
+    relaunched, many shared instants. Unless ``overlap`` is drawn, a launch
+    is scheduled once its slots are free; with it, launches ignore their
+    slots and get distinct schedule times."""
+    nodes, cpn, gpn = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(0, 2))
+    overlap = draw(st.booleans())
+    gap = st.integers(0, 3)
+    ready = draw(gap)
+    rows = [(0, "pilot_start", "", "p"), (ready, "agent_ready", "", "p")]
+    free = {}  # ("core" | "gpu", node, index) -> when the slot comes free
+    lost = {}  # uid of a lost launch -> when it was lost
+    t = last_end = ready
+    for i in range(draw(st.integers(0, 12))):
+        uid = draw(st.sampled_from(sorted(lost) + [f"t{i}"]))
+        mpi = draw(st.booleans())
+        cores = draw(st.lists(st.sampled_from([(n, c) for n in range(nodes) for c in range(cpn)]),
+                              min_size=1, max_size=4, unique=True))
+        if not mpi and draw(st.integers(0, 3)):  # mostly one node; else a span to report
+            cores = [(n, c) for n, c in cores if n == cores[0][0]]
+        on = sorted({n for n, _ in cores})
+        gpus = draw(st.lists(st.sampled_from([(n, g) for n in on for g in range(gpn)]),
+                             max_size=2, unique=True)) if gpn else []
+        placement = tuple((n, tuple(sorted(c for m, c in cores if m == n)),
+                           tuple(sorted(g for m, g in gpus if m == n))) for n in on)
+        slots = [("core", *s) for s in cores] + [("gpu", *s) for s in gpus]
+        t += draw(gap)
+        sched = max(t, lost.pop(uid, t))
+        if overlap:
+            t = sched + 1
+        else:
+            sched = max([sched] + [free.get(s, 0) for s in slots])
+        prep = sched + draw(gap)
+        es = prep + draw(gap)
+        eo = es + draw(gap)
+        end = eo + draw(gap)
+        for s in slots:
+            free[s] = end
+        last_end = max(last_end, end)
+        if uid == f"t{i}":
+            rows.append((sched, "db_bridge_pull", uid, ""))
+        if draw(st.integers(0, 3)) == 0:
+            lost[uid] = end
+            ending = "launch_lost"
+        else:
+            ending = "spawn_return"
+        rows += [(sched, "schedule_ok", uid,
+                  f"{format_placement(placement)}|dvm=0|mpi={int(mpi)}"),
+                 (prep, "prepare_start", uid, "0"), (es, "exec_start", uid, "0"),
+                 (eo, "exec_stop", uid, "0"), (end, ending, uid, "0")]
+    rows.append((last_end + draw(gap), "agent_stop", "", "p"))
+    events = [TraceEvent(ts, "x", name, uid, detail) for ts, name, uid, detail in rows]
+    events.sort(key=lambda e: (e.ts_us, EVENTS[e.name]))  # the loader's order
+    return Trace(events=events, manifest={}), pilot(nodes, cpn, gpn), overlap
+
+
+@settings(max_examples=200, deadline=None)
+@given(launch_traces())
+def test_sweeps_equal_plain_references(case):
+    """The schedule-order sweeps give the plain references' launches,
+    series, violations and report. A launch that prepares on a core slot
+    before the slot's previous launch ended raises instead, and the replay
+    reports that slot; launches that wait for their slots never do."""
+    trace, pd, overlap = case
+    attempts = reference_attempts(trace.events)
+    assert trace.attempts == attempts
+    for width_us in (1, 2, 5):
+        assert concurrency_series(trace, width_us / US) == \
+            reference_concurrency(trace, width_us / US)
+    violations = replay_check(trace)
+    assert sorted(violations) == sorted(reference_replay(trace))
+    on_slot = {}
+    for a in attempts:
+        for node, cores, _ in a.placement:
+            for c in cores:
+                on_slot.setdefault((node, c), []).append(a)
+    booked_twice = any(b.prep_us < a.end_us
+                       for launches in on_slot.values() for a, b in zip(launches, launches[1:]))
+    if booked_twice:
+        with pytest.raises(IncompleteTrace, match="double-booked"):
+            compute_utilization(trace, pd)
+        assert any(v.startswith("core slot") for v in violations)
+    else:
+        assert compute_utilization(trace, pd) == reference_utilization(trace, pd)
+    if not overlap:
+        assert not booked_twice
+        assert all("spans nodes" in v for v in violations)

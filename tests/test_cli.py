@@ -69,6 +69,18 @@ class TestRun:
         assert "cores_per_task must be >= 1" in err[0]
         assert not (tmp_path / "wd").exists()
 
+    def test_run_past_its_timeout_reports_the_count(self, tmp_path, capsys):
+        cfg = {"pilot": {"uid": "p0", "fabric": "local", "nodes": 1, "cores_per_node": 1},
+               "tasks": [{"uid": "t0", "executable": "sleep", "arguments": ["5"]}],
+               "timeout_s": 0.2}
+        cfg_path = tmp_path / "workload.json"
+        cfg_path.write_text(json.dumps(cfg))
+        rc = main(["run", "--config", str(cfg_path), "--workdir", str(tmp_path / "wd")])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert "0/1 tasks DONE" in out
+        assert err == "timeout_s 0.2 passed: 1 tasks not terminal\n"
+
     @pytest.mark.parametrize("key, value", [
         ("seed", "abc"), ("seed", 1.5), ("timeout_s", "soon"), ("timeout_s", 0)])
     def test_bad_seed_or_timeout_is_an_input_error(self, tmp_path, capsys, key, value):
@@ -262,6 +274,24 @@ class TestExperiment:
         # doubling cores halves the generation count
         assert int(rows[0]["generations"]) == 4
         assert int(rows[1]["generations"]) == 2
+
+    def test_second_run_into_the_same_out_fails_its_cells(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({
+            "kind": "strong", "pilots": [{"nodes": 1, "cores_per_node": 4}],
+            "tasks_per_pilot": [8], "duration_range_s": [0.1, 0.1], "seed": 2}))
+        argv = ["experiment", "--spec", str(spec_path), "--out", str(tmp_path / "out")]
+        assert main(argv) == 0
+        traces = tmp_path / "out" / "cell00_rep0" / "pilots" / "pilot_c00" / "traces"
+        before = {p.name: p.read_bytes() for p in traces.iterdir()}
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "cell 0 rep 0 failed: SessionExists" in err
+        assert {p.name: p.read_bytes() for p in traces.iterdir()} == before
+        with open(tmp_path / "out" / "summary.csv") as fh:
+            fh.readline()
+            assert [r["complete"] for r in csv.DictReader(fh)] == ["incomplete"]
 
     def test_unknown_spec_key_is_an_input_error(self, tmp_path, capsys):
         spec = {"kind": "strong", "pilots": [{"nodes": 1, "cores_per_node": 4}],

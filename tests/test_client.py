@@ -15,6 +15,7 @@ from pilotkit.client import (
     NoPilot,
     PilotHandle,
     Session,
+    SessionExists,
     WaitTimeout,
     WorkdirUnwritable,
     create_session,
@@ -48,6 +49,22 @@ class TestSessionLifecycle:
         s.close()
         s.close()
         assert s.state == "closed"
+
+    def test_reused_session_directory_refused(self, tmp_path, sim_pilot):
+        """A second session with the uid of a finished one would append its
+        events to the first one's trace files."""
+        first = create_session(str(tmp_path / "w"), uid="s")
+        pilot = first.create_pilot_manager().submit_pilot(sim_pilot(nodes=1, cores=1))
+        tm = first.create_task_manager()
+        assert tm.wait_tasks(tm.submit_tasks([task("t0", duration=0.5)])) == ["DONE"]
+        first.close()
+        files = sorted(Path(first.directory).rglob("*"))
+        before = {p: p.read_bytes() for p in files if p.is_file()}
+        with pytest.raises(SessionExists, match="already holds a session"):
+            create_session(str(tmp_path / "w"), uid="s")
+        assert sorted(Path(first.directory).rglob("*")) == files
+        assert {p: p.read_bytes() for p in before} == before
+        assert len(load_session_traces(pilot.trace_dir).by_name("pilot_start")) == 1
 
     def test_generated_uid_unique(self, tmp_path):
         a = create_session(str(tmp_path / "w"))
