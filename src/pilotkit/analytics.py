@@ -7,7 +7,7 @@ for placement correctness but excluded from the core-time denominator.
 
 The passes after the load are flat sweeps in schedule order: utilization
 and replay walk the launches once, the concurrency series walks the events
-once, and each keeps only integers or the latest launch per slot. Nothing
+once, and each keeps only integers or one launch per slot. Nothing
 is sorted again and nothing is collected per slot. On a valid trace a core
 slot's launches follow one another in schedule order, so a launch adds its
 stage spans once and each slot adds only the gaps between its launches.
@@ -93,23 +93,16 @@ _STAGE = {"schedule_ok": 0, "prepare_start": 1, "exec_start": 2, "exec_stop": 3,
 def _stamp(a: Attempt, stage: int, ts: int) -> bool:
     """Stamp launch ``a`` with stage 1-5 at ``ts`` unless it has that
     stage already; returns whether it stamped."""
-    if stage == 1:
-        if a.prep_us is not None:
-            return False
+    if stage == 1 and a.prep_us is None:
         a.prep_us = ts
-    elif stage == 2:
-        if a.exec_start_us is not None:
-            return False
+    elif stage == 2 and a.exec_start_us is None:
         a.exec_start_us = ts
-    elif stage == 3:
-        if a.exec_stop_us is not None:
-            return False
+    elif stage == 3 and a.exec_stop_us is None:
         a.exec_stop_us = ts
+    elif stage >= 4 and a.end_us is None:
+        a.end_us, a.returned = ts, stage == 4
     else:
-        if a.end_us is not None:
-            return False
-        a.end_us = ts
-        a.returned = stage == 4
+        return False
     return True
 
 
@@ -228,10 +221,6 @@ def compute_ttx(trace: Trace) -> float:
 def parse_schedule_detail(detail: str) -> tuple[Placement, int | None, bool]:
     """Split a schedule_ok detail into (placement, dvm_id, uses_mpi)."""
     fields = detail.split("|")
-    if len(fields) == 3:  # the simulator's own form, placement|dvm=N|mpi=B
-        text, dvm, mpi = fields
-        if dvm[:4] == "dvm=" and mpi[:4] == "mpi=":
-            return parse_placement(text), int(dvm[4:]), mpi == "mpi=1"
     placement = parse_placement(fields[0])
     dvm_id = None
     mpi = False
@@ -456,36 +445,31 @@ def replay_check(trace: Trace) -> list[str]:
     """Replay every launch's placement over [schedule_ok, end); report slot
     oversubscription and single-node-rule violations. One walk of the
     launches in schedule order: a launch double-books a slot when it is
-    scheduled before the end of the slot's latest launch."""
+    scheduled before the latest end of the slot's earlier launches, and is
+    reported once per slot, against the earlier launch that ends last. Of
+    two launches scheduled at one instant, the one earlier in event order
+    is named first."""
     violations: list[str] = []
-    # slot key, node << 32 | index -> the slot's latest launch
-    core_at: dict[int, Attempt] = {}
-    gpu_at: dict[int, Attempt] = {}
+    # slot key, node << 33 | kind << 32 | index -> the slot's launch that ends last
+    latest: dict[int, Attempt] = {}
     for a in trace.attempts:
-        if a.end_us is None:
+        sched, end = a.sched_us, a.end_us
+        if end is None:
             continue
         if not a.uses_mpi and len(a.placement) > 1:
             violations.append(f"non-MPI task {a.uid} spans nodes")
         for node, cores, gpus in a.placement:
-            for c in cores:
-                key = node << 32 | c
-                prev = core_at.get(key)
-                if prev is not None and a.sched_us < prev.end_us:
-                    violations.append(_double_booked("core", node, c, prev, a))
-                core_at[key] = a
-            for g in gpus:
-                key = node << 32 | g
-                prev = gpu_at.get(key)
-                if prev is not None and a.sched_us < prev.end_us:
-                    violations.append(_double_booked("gpu", node, g, prev, a))
-                gpu_at[key] = a
+            for kind, label, slots in ((0, "core", cores), (1, "gpu", gpus)):
+                for i in slots:
+                    key = node << 33 | kind << 32 | i
+                    prev = latest.get(key)
+                    if prev is None or end > prev.end_us:
+                        latest[key] = a
+                    if prev is not None and sched < prev.end_us:
+                        violations.append(
+                            f"{label} slot {(node, i)} double-booked: {prev.uid} "
+                            f"[{prev.sched_us},{prev.end_us}) vs {a.uid} [{sched},{end})")
     return violations
-
-
-def _double_booked(label: str, node: int, index: int, first: Attempt, second: Attempt) -> str:
-    return (f"{label} slot {(node, index)} double-booked: {first.uid} "
-            f"[{first.sched_us},{first.end_us}) vs {second.uid} "
-            f"[{second.sched_us},{second.end_us})")
 
 
 def emit_report(report: UtilizationReport, series: tuple[TimeSeries, TimeSeries] | None,

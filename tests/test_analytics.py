@@ -471,6 +471,18 @@ class TestReplay:
         assert replay_check(trace) == [
             "core slot (0, 0) double-booked: t0 [100000,1000000) vs t1 [500000,1700000)"]
 
+    def test_every_launch_on_a_triple_booked_core_detected(self):
+        """z comes after y ended but inside x: a replay that kept only
+        the slot's previous launch, y, would miss it."""
+        trace = synth_trace([
+            ("x", "0:0:", 0.1, 0.1, 0.2, 9.4, 9.5),
+            ("y", "0:0:", 1.0, 1.0, 1.1, 1.9, 2.0),
+            ("z", "0:0:", 3.0, 3.0, 3.1, 3.9, 4.0),
+        ])
+        assert replay_check(trace) == [
+            "core slot (0, 0) double-booked: x [100000,9500000) vs y [1000000,2000000)",
+            "core slot (0, 0) double-booked: x [100000,9500000) vs z [3000000,4000000)"]
+
     def test_non_mpi_span_detected(self):
         trace = synth_trace([("t0", "0:0:;1:0:", 0.1, 0.1, 0.2, 1.2, 1.3)])
         assert any("spans nodes" in v for v in replay_check(trace))
@@ -626,8 +638,9 @@ def reference_utilization(trace, pd):
 
 
 def reference_replay(trace):
-    """Each slot's [schedule_ok, end) intervals sorted; consecutive ones
-    that overlap are double-booked."""
+    """Each slot's [schedule_ok, end) intervals sorted; an interval that
+    starts before the latest end of those before it is double-booked with
+    the one that ends last."""
     violations = []
     core_iv, gpu_iv = {}, {}
     for a in reference_attempts(trace.events):
@@ -644,10 +657,13 @@ def reference_replay(trace):
     for label, table in (("core", core_iv), ("gpu", gpu_iv)):
         for slot, ivs in table.items():
             ivs.sort()
-            for (s1, e1, u1), (s2, e2, u2) in zip(ivs, ivs[1:]):
+            s1, e1, u1 = ivs[0]
+            for s2, e2, u2 in ivs[1:]:
                 if s2 < e1:
                     violations.append(f"{label} slot {slot} double-booked: {u1} [{s1},{e1}) "
                                       f"vs {u2} [{s2},{e2})")
+                if e2 > e1:
+                    s1, e1, u1 = s2, e2, u2
     return violations
 
 
