@@ -6,10 +6,12 @@ bookkeeping when a task is placed; finishing and canceling with the slot
 release; and the trace events of each step. Every state change goes through
 :func:`pilotkit.core.advance_task_state`.
 
-``LocalAgent`` launches on this machine: it runs in its own thread,
-executable tasks become child processes and function tasks run callables
-from FUNCTION_REGISTRY on exec threads. Exec threads hand completions back
-through a deque that the agent loop drains, and the agent reports each
+``LocalAgent`` launches on this machine: it runs in its own thread and
+takes the client's task descriptions, as objects, from an inbox of its own.
+Executable tasks become child processes and function tasks run callables
+from FUNCTION_REGISTRY on exec threads. The agent thread is the only writer
+of task state: exec threads trace, run the task and hand its completion
+back through a deque that the agent loop drains, and the agent reports each
 task's end to its owner through a callback. The simulated fabric's
 ``SimAgent`` (:mod:`pilotkit.simulator`) launches through latency-modeled
 DVMs on a virtual clock.
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import os
 import shutil
+import subprocess
 import threading
 import time
 from collections import deque
@@ -39,7 +42,7 @@ from .core import (
     build_node_list,
     validate_task_description,
 )
-from .executor import SpawnFailure, build_launch_command, spawn_local
+from .executor import CommandSpec, SpawnFailure, build_launch_command, spawn_local
 from .scheduler import Scheduler, SlotMap, format_placement
 from .tracer import Tracer
 
@@ -177,13 +180,12 @@ class FnContext:
     """Execution context handed to function tasks."""
 
     def __init__(self, td: TaskDescription, hub: bus.MessageHub, tracer: Tracer,
-                 cancel: threading.Event, sandbox: str):
+                 cancel: threading.Event):
         self.td = td
         self.args = list(td.arguments)
         self.hub = hub
         self.tracer = tracer
         self.cancel = cancel
-        self.sandbox = sandbox
 
     def arg(self, name: str, default=None):
         for i, a in enumerate(self.args):
@@ -218,16 +220,17 @@ def register_function(name: str, fn):
 
 @dataclass
 class _Running:
-    task: Task
     thread: threading.Thread | None = None
-    proc: object | None = None
+    proc: subprocess.Popen | None = None
 
 
 class LocalAgent(AgentCore):
     """One pilot's agent on the local machine.
 
-    ``on_end(task)`` is called on the agent thread when a task ends, at
-    times with the agent's ``_lock`` held: it must not wait on the agent.
+    ``submit(td)`` queues a description in the agent's inbox, before or
+    after ``start()``; the agent thread pulls that very object. Only the
+    agent thread writes task state. ``on_end(task)`` is called on the agent
+    thread when a task ends: it must not wait on the agent.
     """
 
     def __init__(self, pd: PilotDescription, hub: bus.MessageHub, tracer: Tracer,
@@ -236,15 +239,13 @@ class LocalAgent(AgentCore):
         super().__init__(pd, tracer, build_node_list(pd))
         self.hub = hub
         self.sandbox_root = sandbox_root
-        self.in_q = hub.open(f"agent.{pd.uid}.tasks")
+        self._inbox = bus._Endpoint(bus.DEFAULT_CAPACITY)
         self._on_end = on_end
         # (uid, exit code, error) of finished launches, appended by exec threads
         self._ended: deque[tuple[str, int, str | None]] = deque()
         self.running: dict[str, _Running] = {}
         self._cancel = threading.Event()
         self._thread: threading.Thread | None = None
-        self.ready = threading.Event()
-        self._lock = threading.Lock()
 
     # lifecycle -----------------------------------------------------------
 
@@ -252,6 +253,9 @@ class LocalAgent(AgentCore):
         self._thread = threading.Thread(target=self._run, name=f"agent-{self.pd.uid}",
                                         daemon=True)
         self._thread.start()
+
+    def submit(self, td: TaskDescription):
+        self._inbox.put(td)
 
     def stop(self, timeout_s: float = 60.0):
         """Cancel every task the agent has not ended and end its thread."""
@@ -268,10 +272,9 @@ class LocalAgent(AgentCore):
     def _run(self):
         self._emit("agent", "pilot_start", detail=self.pd.uid)
         self._emit("agent", "agent_ready", detail=self.pd.uid)
-        self.ready.set()
         while True:
-            for raw in self.in_q.receive(BULK_SIZE, timeout_s=0.01):
-                self._pull(TaskDescription.from_dict(bus.unpack_message(raw)))
+            for td in self._inbox.receive(BULK_SIZE, timeout_s=0.01):
+                self._pull(td)
             # Counted before the cancel is looked at: an end that the cancel
             # caused (a function that saw it and returned) comes after.
             ended = len(self._ended)
@@ -280,8 +283,7 @@ class LocalAgent(AgentCore):
                 break
             for _ in range(ended):
                 uid, exit_code, error = self._ended.popleft()
-                with self._lock:
-                    del self.running[uid]
+                del self.running[uid]
                 self._returned(self.tasks[uid], exit_code == 0, exit_code, error)
             if self._dirty:
                 self._rescan()
@@ -289,17 +291,15 @@ class LocalAgent(AgentCore):
         self.tracer.flush()
 
     def _do_cancel(self):
-        with self._lock:
-            runners = list(self.running.values())
-        for r in runners:
-            proc = r.proc
-            if proc is not None:
+        runners = self.running
+        for r in runners.values():
+            if r.proc is not None:
                 try:
-                    proc.terminate()
+                    r.proc.terminate()
                 except OSError:
                     pass
         deadline = time.monotonic() + CANCEL_GRACE_S
-        for r in runners:
+        for r in runners.values():
             r.thread.join(max(0.0, deadline - time.monotonic()))
             if r.thread.is_alive() and r.proc is not None:
                 try:
@@ -308,20 +308,23 @@ class LocalAgent(AgentCore):
                     pass
                 r.thread.join(5.0)
         # Completions not yet taken are dropped: everything non-terminal,
-        # still queued on the bus, waiting or running, ends CANCELED.
-        while queued := self.in_q.receive(BULK_SIZE):
-            for raw in queued:
-                td = TaskDescription.from_dict(bus.unpack_message(raw))
+        # still in the inbox, waiting or running, ends CANCELED. The inbox
+        # is closed first, so a later submit raises rather than waits.
+        self._inbox.close()
+        while queued := self._inbox.receive(BULK_SIZE):
+            for td in queued:
                 if td.uid not in self.tasks:  # a duplicate uid is not its own
                     task = self.tasks[td.uid] = Task(description=td, state=TaskState.SUBMITTED)
                     self._end(task, TaskState.CANCELED)
-        with self._lock:
-            for td in self.scheduler.take_waiting():
-                self._end(self.tasks[td.uid], TaskState.CANCELED)
-            for r in self.running.values():
-                self._release(r.task)
-                self._end(r.task, TaskState.CANCELED)
-            self.running.clear()
+        for td in self.scheduler.take_waiting():
+            self._end(self.tasks[td.uid], TaskState.CANCELED)
+        for uid, r in runners.items():
+            task = self.tasks[uid]
+            self._release(task)
+            if not r.thread.is_alive():  # joined: its launch record ends as a return's
+                self._emit("executor", "spawn_return", uid)
+            self._end(task, TaskState.CANCELED)
+        runners.clear()
 
     # task intake ---------------------------------------------------------
 
@@ -349,64 +352,45 @@ class LocalAgent(AgentCore):
 
     def _launch(self, task: Task):
         self._schedule_ok(task)
-        runner = _Running(task=task)
+        advance_task_state(task, TaskState.EXECUTING)
+        runner = self.running[task.uid] = _Running()
         runner.thread = threading.Thread(target=self._execute, args=(task, runner),
                                          name=f"exec-{task.uid}", daemon=True)
-        with self._lock:
-            self.running[task.uid] = runner
         runner.thread.start()
 
     def _execute(self, task: Task, runner: _Running):
+        """An exec thread: trace, run the task, append its completion. A
+        task whose thread starts after ``stop()`` runs nothing."""
         td = task.description
         self._emit("executor", "prepare_start", uid=td.uid)
-        error = None
+        cmd = build_launch_command(td, task.placement) if td.kind == TaskKind.EXECUTABLE else None
+        self._emit("executor", "exec_start", uid=td.uid)
         try:
-            if td.kind == TaskKind.EXECUTABLE:
-                code = self._run_executable(task, runner)
+            if self._cancel.is_set():
+                code, error = -1, "canceled before start"
+            elif cmd is not None:
+                code, error = self._run_executable(td, cmd, runner), None
             else:
-                code, error = self._run_function(task)
+                code, error = self._run_function(td)
         except SpawnFailure as exc:
             code, error = -1, str(exc)
+        self._emit("executor", "exec_stop", uid=td.uid)
         self._ended.append((td.uid, code, error))
 
-    def _exec_start(self, task: Task):
-        """SCHEDULED -> EXECUTING, unless a cancel ended the task first."""
-        with self._lock:
-            if task.state == TaskState.CANCELED:
-                raise SpawnFailure(f"task {task.uid!r}: canceled before start")
-            advance_task_state(task, TaskState.EXECUTING)
-        self._emit("executor", "exec_start", uid=task.uid)
-
-    def _run_executable(self, task: Task, runner: _Running) -> int:
-        td = task.description
+    def _run_executable(self, td: TaskDescription, cmd: CommandSpec, runner: _Running) -> int:
         box = self.sandbox(td.uid)
-        cmd = build_launch_command(td, task.placement)
-        self._exec_start(task)
-
-        def register(proc):
-            runner.proc = proc
-
-        # Every exec_start gets its exec_stop, also when the task cannot start.
         try:
-            try:
-                os.makedirs(box, exist_ok=True)
-            except OSError as exc:
-                raise SpawnFailure(
-                    f"task {td.uid!r}: cannot create sandbox {box!r}: {exc}") from exc
-            return spawn_local(
-                cmd, td.uid, cwd=box,
-                stdout_path=os.path.join(box, "task.out"),
-                stderr_path=os.path.join(box, "task.err"), register=register)
-        finally:
-            self._emit("executor", "exec_stop", uid=td.uid)
+            os.makedirs(box, exist_ok=True)
+        except OSError as exc:
+            raise SpawnFailure(f"task {td.uid!r}: cannot create sandbox {box!r}: {exc}") from exc
+        runner.proc = spawn_local(cmd, td.uid, cwd=box,
+                                  stdout_path=os.path.join(box, "task.out"),
+                                  stderr_path=os.path.join(box, "task.err"))
+        return runner.proc.wait()
 
-    def _run_function(self, task: Task) -> tuple[int, str | None]:
-        td = task.description
-        ctx = FnContext(td, self.hub, self.tracer, self._cancel, self.sandbox(td.uid))
-        self._exec_start(task)
+    def _run_function(self, td: TaskDescription) -> tuple[int, str | None]:
         try:
-            code, error = int(FUNCTION_REGISTRY[td.function](ctx) or 0), None
+            return int(FUNCTION_REGISTRY[td.function](
+                FnContext(td, self.hub, self.tracer, self._cancel)) or 0), None
         except Exception as exc:  # function errors become task failures
-            code, error = -1, repr(exc)
-        self._emit("executor", "exec_stop", uid=td.uid)
-        return code, error
+            return -1, repr(exc)

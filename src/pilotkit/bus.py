@@ -2,7 +2,9 @@
 
 A channel delivers each message to exactly one consumer. Ordering is
 per-producer FIFO. Structured payloads are encoded with
-:func:`pack_message` (canonical JSON, sorted keys).
+:func:`pack_message` (canonical JSON, sorted keys). A local agent's inbox
+is an unnamed :class:`_Endpoint`, the buffer behind every channel, and
+carries task description objects.
 """
 
 from __future__ import annotations

@@ -1,11 +1,12 @@
 """User-facing API: sessions, pilot and task managers, task handles.
 
-A Session owns the message hub (the built-in queue service), the trace
-directories and the seed. PilotManager submits pilots; a pilot takes any
-number of task waves until ``Session.close`` stops its agent (a local one
-runs in its own thread; a simulated one runs each wave on a virtual clock
-when it is waited on). TaskManager validates and enqueues tasks and
-round-robins them across pilots.
+A Session owns the message hub (the built-in queue service, which carries
+master/worker messages), the trace directories and the seed. PilotManager
+submits pilots; a pilot takes any number of task waves until
+``Session.close`` stops its agent (a local one runs in its own thread and
+takes the description objects straight into its inbox; a simulated one runs
+each wave on a virtual clock when it is waited on). TaskManager validates
+and enqueues tasks and round-robins them across pilots.
 """
 
 from __future__ import annotations
@@ -36,10 +37,6 @@ _SUBMITTED = TaskState.SUBMITTED.value
 
 
 class WorkdirUnwritable(PilotkitError):
-    pass
-
-
-class FabricUnavailable(PilotkitError):
     pass
 
 
@@ -77,7 +74,6 @@ class TaskHandle:
 class PilotHandle:
     ACTIVE = "ACTIVE"
     DONE = "DONE"
-    FAILED = "FAILED"
 
     def __init__(self, pd: PilotDescription, session: "Session"):
         self.pd = pd
@@ -136,7 +132,7 @@ class TaskManager:
             self.session.tracer.emit("client", "task_submit", task_uid=td.uid,
                                      detail=pilot.uid)
             if pilot.pd.fabric == Fabric.LOCAL:
-                pilot.agent.in_q.send([bus.pack_message(td.to_dict())])
+                pilot.agent.submit(td)
             else:
                 pilot.sim_buffer.append(td)
             out.append(handle)
@@ -208,9 +204,6 @@ class Session:
                                on_end=lambda task: self._tasks_ended((task,)))
             handle.agent = agent
             agent.start()
-            if not agent.ready.wait(10.0):
-                handle.state = PilotHandle.FAILED
-                raise FabricUnavailable(f"agent for pilot {pd.uid!r} did not come up")
         return handle
 
     def _pilot_tracer(self, pilot: PilotHandle) -> Tracer:
@@ -229,8 +222,8 @@ class Session:
 
     def _tasks_ended(self, tasks):
         """Copy ended tasks' outcomes to their handles and wake waiters.
-        A local agent calls this on its own thread, at times holding its
-        lock, so nothing may wait on an agent while holding ``_cond``."""
+        A local agent calls this on its own thread, so nothing may wait on
+        an agent while holding ``_cond``."""
         with self._cond:
             for task in tasks:
                 h = self.handles.get(task.uid)
@@ -279,8 +272,7 @@ class Session:
                 pilot.agent = None
             if pilot.tracer is not None:
                 pilot.tracer.close()
-            if pilot.state == PilotHandle.ACTIVE:
-                pilot.state = PilotHandle.DONE
+            pilot.state = PilotHandle.DONE
         self.tracer.emit("client", "session_close", detail=self.uid)
         self.state = "closed"
         self.tracer.close()

@@ -76,7 +76,7 @@ class JsonRecord:
     """A dataclass whose JSON keys are its field names: a missing key takes
     the field's default, and a key that names no field is an error.
     ``_from_json`` maps a field whose JSON value needs converting to its
-    converter."""
+    converter; a converter refuses a value of the wrong JSON type."""
 
     _from_json: dict = {}
 
@@ -92,12 +92,36 @@ class JsonRecord:
         unknown = sorted(set(d) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"unknown {cls.__name__} keys: {', '.join(unknown)}")
-        convert = cls._from_json
-        return cls(**{k: convert[k](v) if k in convert else v for k, v in d.items()})
+        convert, values = cls._from_json, {}
+        for k, v in d.items():
+            try:
+                values[k] = convert[k](v) if k in convert else v
+            except TypeError as exc:
+                raise TypeError(f"{cls.__name__}.{k}: {exc}") from None
+        return cls(**values)
+
+
+def _bool(v) -> bool:
+    if type(v) is not bool:
+        raise TypeError(f"expected true or false, got {v!r}")
+    return v
+
+
+def _int(v) -> int:
+    """An integer, or a string or float that is one ("2" and 2.0 read as 2)."""
+    if isinstance(v, bool) or isinstance(v, float) and not v.is_integer():
+        raise TypeError(f"expected an integer, got {v!r}")
+    return int(v)
+
+
+def _array(items) -> tuple:
+    if not isinstance(items, list):
+        raise TypeError(f"expected an array, got {items!r}")
+    return tuple(items)
 
 
 def _pairs(items) -> tuple[tuple[str, str], ...]:
-    return tuple((a, b) for a, b in items)
+    return tuple((a, b) for a, b in map(_array, _array(items)))
 
 
 @dataclass(frozen=True)
@@ -142,8 +166,8 @@ class TaskDescription(JsonRecord):
     stage_out: tuple[tuple[str, str], ...] = ()
     environment: tuple[tuple[str, str], ...] = ()
 
-    _from_json = {"kind": TaskKind, "arguments": tuple, "cores_per_task": int,
-                  "gpus_per_task": int, "uses_mpi": bool, "stage_in": _pairs,
+    _from_json = {"kind": TaskKind, "arguments": _array, "cores_per_task": _int,
+                  "gpus_per_task": _int, "uses_mpi": _bool, "stage_in": _pairs,
                   "stage_out": _pairs, "environment": _pairs}
 
     def __post_init__(self):
@@ -168,9 +192,10 @@ class PilotDescription(JsonRecord):
     teardown_s: float = 0.05
     oversubscribe: bool = False
 
-    _from_json = {"fabric": Fabric, "nodes": int, "cores_per_node": int, "gpus_per_node": int,
-                  "dvm_max_nodes": int, "latency_model": LatencyModel.from_dict,
-                  "bootstrap_s": float, "teardown_s": float, "oversubscribe": bool}
+    _from_json = {"fabric": Fabric, "nodes": _int, "cores_per_node": _int,
+                  "gpus_per_node": _int, "dvm_max_nodes": _int,
+                  "latency_model": LatencyModel.from_dict, "bootstrap_s": float,
+                  "teardown_s": float, "oversubscribe": _bool}
 
     def __post_init__(self):
         if not self.uid:

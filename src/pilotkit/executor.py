@@ -73,15 +73,14 @@ def build_launch_command(td: TaskDescription, placement: Placement) -> CommandSp
 
 
 def spawn_local(cmd: CommandSpec, task_uid: str, cwd: str | None = None,
-                stdout_path: str | None = None, stderr_path: str | None = None,
-                register=None) -> int:
-    """Run a child process to completion and return its exit code.
+                stdout_path: str | None = None,
+                stderr_path: str | None = None) -> subprocess.Popen:
+    """Start a child process and return it; the caller waits on it, and
+    can terminate it on cancellation.
 
     Raises SpawnFailure when the program cannot be started at all, including
     when its stdout/stderr files cannot be opened. The program
-    ``pilotkit-emulate`` runs as this package's emulator module file. The
-    optional ``register`` callback receives the Popen handle so the caller
-    can terminate the child on cancellation.
+    ``pilotkit-emulate`` runs as this package's emulator module file.
     """
     env = dict(os.environ)
     env.update(dict(cmd.env))
@@ -95,13 +94,10 @@ def spawn_local(cmd: CommandSpec, task_uid: str, cwd: str | None = None,
             out_fh = open(stdout_path, "wb")
         if stderr_path:
             err_fh = open(stderr_path, "wb")
-        proc = subprocess.Popen(argv, env=env, cwd=cwd, stdout=out_fh, stderr=err_fh)
+        return subprocess.Popen(argv, env=env, cwd=cwd, stdout=out_fh, stderr=err_fh)
     except OSError as exc:
         raise SpawnFailure(f"task {task_uid!r}: cannot spawn {cmd.program!r}: {exc}") from exc
     finally:
         for fh in (out_fh, err_fh):
             if hasattr(fh, "close"):
                 fh.close()
-    if register is not None:
-        register(proc)
-    return proc.wait()

@@ -124,7 +124,6 @@ def _worker_main(ctx: FnContext):
     to_master = ctx.hub.open(master_in_channel(muid))
     to_master.send([bus.pack_message({"type": "register", "worker": wuid})])
     pool = ThreadPoolExecutor(max_workers=cores)
-    unfinished: list[str] = []
     crashed = False
     try:
         while not ctx.cancel.is_set():
@@ -132,13 +131,10 @@ def _worker_main(ctx: FnContext):
                 msg = bus.unpack_message(raw)
                 if msg["type"] == "stop":
                     return 0
-                calls = msg["calls"]
-                unfinished = [c["uid"] for c in calls]
-                futures = [pool.submit(execute_call, c, ctx.tracer) for c in calls]
+                futures = [pool.submit(execute_call, c, ctx.tracer) for c in msg["calls"]]
                 results = []
                 for fut in futures:
                     results.append(fut.result())  # _WorkerCrash propagates
-                unfinished = []
                 to_master.send([bus.pack_message(
                     {"type": "result", "worker": wuid, "results": results})])
         return 1
@@ -147,29 +143,19 @@ def _worker_main(ctx: FnContext):
         return 1
     finally:
         pool.shutdown(wait=not crashed, cancel_futures=crashed)
-        to_master.send([bus.pack_message(
-            {"type": "deregister", "worker": wuid, "unfinished": unfinished})])
+        to_master.send([bus.pack_message({"type": "deregister", "worker": wuid})])
 
 
 # master task ------------------------------------------------------------
-
-class _WorkerState:
-    def __init__(self, wuid: str, capacity: int):
-        self.wuid = wuid
-        self.capacity = capacity
-        self.outstanding: dict[str, dict] = {}
-
-    @property
-    def load(self) -> int:
-        return len(self.outstanding)
-
 
 def _master_main(ctx: FnContext):
     muid = ctx.arg("--master")
     capacity = int(ctx.arg("--cores-per-worker", "1"))
     inbox = ctx.hub.open(master_in_channel(muid))
     out = ctx.hub.open(master_out_channel(muid))
-    workers: dict[str, _WorkerState] = {}
+    # worker uid -> its dispatched calls that have no result yet, by call uid:
+    # the one record of what a lost worker held
+    workers: dict[str, dict[str, dict]] = {}
     pending: list[dict] = []
     done: set[str] = set()
     retries: dict[str, int] = {}
@@ -180,7 +166,7 @@ def _master_main(ctx: FnContext):
             msg = bus.unpack_message(raw)
             mtype = msg["type"]
             if mtype == "register":
-                workers.setdefault(msg["worker"], _WorkerState(msg["worker"], capacity))
+                workers.setdefault(msg["worker"], {})
                 starting -= 1
             elif mtype == "workers":
                 starting += msg["count"]
@@ -189,12 +175,11 @@ def _master_main(ctx: FnContext):
             elif mtype == "close":
                 closing = True
             elif mtype == "result":
-                ws = workers.get(msg["worker"])
+                held = workers.get(msg["worker"], {})
                 forwarded = []
                 for res in msg["results"]:
                     uid = res["uid"]
-                    if ws is not None:
-                        ws.outstanding.pop(uid, None)
+                    held.pop(uid, None)
                     if uid in done:
                         continue
                     done.add(uid)
@@ -203,12 +188,11 @@ def _master_main(ctx: FnContext):
                 if forwarded:
                     out.send([bus.pack_message({"type": "results", "results": forwarded})])
             elif mtype == "deregister":
-                ws = workers.pop(msg["worker"], None)
-                if ws is None:
+                held = workers.pop(msg["worker"], None)
+                if held is None:
                     continue
                 ctx.tracer.emit("raptor", "worker_lost", detail=msg["worker"])
-                lost = list(ws.outstanding.values())
-                for call in lost:
+                for call in held.values():
                     uid = call["uid"]
                     if uid in done:
                         continue
@@ -228,22 +212,21 @@ def _master_main(ctx: FnContext):
                         out.send([bus.pack_message({"type": "results", "results": failed})])
         # dispatch to the least-loaded worker while capacity remains
         while pending and workers:
-            ws = min(workers.values(), key=lambda w: (w.load, w.wuid))
-            room = ws.capacity - ws.load
+            wuid, held = min(workers.items(), key=lambda w: (len(w[1]), w[0]))
+            room = capacity - len(held)
             if room <= 0:
                 break
             batch = pending[:room]
             del pending[:len(batch)]
             for call in batch:
-                ws.outstanding[call["uid"]] = call
-                ctx.tracer.emit("raptor", "call_dispatch", task_uid=call["uid"],
-                                detail=ws.wuid)
-            ctx.hub.open(worker_channel(muid, ws.wuid)).send(
+                held[call["uid"]] = call
+                ctx.tracer.emit("raptor", "call_dispatch", task_uid=call["uid"], detail=wuid)
+            ctx.hub.open(worker_channel(muid, wuid)).send(
                 [bus.pack_message({"type": "dispatch", "calls": batch})])
-        if closing and not pending and all(w.load == 0 for w in workers.values()):
+        if closing and not pending and not any(workers.values()):
             break
-    for ws in workers.values():
-        ctx.hub.open(worker_channel(muid, ws.wuid)).send(
+    for wuid in workers:
+        ctx.hub.open(worker_channel(muid, wuid)).send(
             [bus.pack_message({"type": "stop"})])
     out.send([bus.pack_message({"type": "closed"})])
     return 0

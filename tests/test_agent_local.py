@@ -10,9 +10,11 @@ from pathlib import Path
 
 import pytest
 
+from pilotkit import agent as agent_module
 from pilotkit import bus
 from pilotkit.agent import FUNCTION_REGISTRY, LocalAgent, register_function
-from pilotkit.analytics import compute_utilization, load_session_traces
+from pilotkit.analytics import compute_utilization, load_session_traces, replay_check
+from pilotkit.cli import main
 from pilotkit.client import create_session
 from pilotkit.core import TaskDescription, TaskKind, TaskState
 from pilotkit.tracer import EVENTS, Tracer
@@ -29,7 +31,6 @@ def agent_env(local_pilot, tmp_path):
     agent = LocalAgent(pd, hub, tracer,
                        sandbox_root=str(tmp_path / "sandbox"))
     agent.start()
-    assert agent.ready.wait(5.0)
     yield agent, hub, tracer
     agent.stop()
     tracer.close()
@@ -37,7 +38,8 @@ def agent_env(local_pilot, tmp_path):
 
 
 def submit(agent, *tds):
-    agent.in_q.send([bus.pack_message(td.to_dict()) for td in tds])
+    for td in tds:
+        agent.submit(td)
 
 
 class EndLog:
@@ -69,6 +71,29 @@ def wait_terminal(agent, uids, timeout_s=30.0):
         time.sleep(0.01)
     raise AssertionError(f"tasks not terminal: "
                          f"{ {u: getattr(t, 'state', None) for u, t in tasks.items()} }")
+
+
+class TestIntake:
+    def test_agent_pulls_the_submitted_object(self, agent_env):
+        agent, hub, tracer = agent_env
+        td = TaskDescription(uid="f0", kind=TaskKind.FUNCTION, function="noop")
+        submit(agent, td)
+        wait_terminal(agent, ["f0"])
+        assert agent.tasks["f0"].description is td
+
+    def test_submitted_before_start_waits_in_the_inbox(self, local_pilot, tmp_path):
+        tracer = Tracer(str(tmp_path / "traces"))
+        agent = LocalAgent(local_pilot(), bus.MessageHub(), tracer,
+                           sandbox_root=str(tmp_path / "sandbox"))
+        submit(agent, task("early"))
+        agent.start()
+        try:
+            assert wait_terminal(agent, ["early"])["early"].state == TaskState.DONE
+        finally:
+            agent.stop()
+            tracer.close()
+        names = [e.name for e in load_session_traces(tracer.directory).events]
+        assert names.index("agent_ready") < names.index("db_bridge_pull")
 
 
 class TestExecutableTasks:
@@ -274,7 +299,6 @@ class TestCancel:
         agent = LocalAgent(pd, hub, tracer,
                            sandbox_root=str(tmp_path / "sandbox"))
         agent.start()
-        assert agent.ready.wait(5.0)
         submit(agent, task("long", duration=60.0), task("waiting", duration=60.0, cores=2))
         deadline = time.monotonic() + 5.0
         while "long" not in agent.running and time.monotonic() < deadline:
@@ -287,6 +311,48 @@ class TestCancel:
         tracer.close()
         hub.close()
 
+    def test_exec_thread_started_after_stop_spawns_nothing(self, agent_env, monkeypatch):
+        agent, hub, tracer = agent_env
+        held = threading.Event()
+        build = agent_module.build_launch_command
+
+        def build_after_cancel(td, placement):
+            held.set()
+            assert agent._cancel.wait(30.0)
+            return build(td, placement)
+
+        monkeypatch.setattr(agent_module, "build_launch_command", build_after_cancel)
+        submit(agent, TaskDescription(uid="late", executable="sh",
+                                      arguments=("-c", "echo ran")))
+        assert held.wait(10.0)
+        agent.stop()
+        assert agent.tasks["late"].state == TaskState.CANCELED
+        assert not os.path.exists(os.path.join(agent.sandbox("late"), "task.out"))
+        tracer.close()
+        [launch] = load_session_traces(tracer.directory).attempts
+        assert launch.complete and launch.returned
+
+    def test_closed_while_running_leaves_an_analyzable_trace(self, local_pilot, tmp_path):
+        """A launch that the close cancels ends with its spawn_return, so
+        the partition is exact, replay is clean and ``analyze`` exits 0."""
+        session = create_session(str(tmp_path / "w"), uid="s")
+        pd = local_pilot(cores=1)
+        pilot = session.create_pilot_manager().submit_pilot(pd)
+        tm = session.create_task_manager()
+        tm.submit_tasks([TaskDescription(uid=u, executable="sleep", arguments=("5",))
+                         for u in ("long", "queued")])
+        agent = pilot.agent
+        deadline = time.monotonic() + 10.0
+        while getattr(agent.running.get("long"), "proc", None) is None:
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        session.close()
+        assert [agent.tasks[u].state for u in ("long", "queued")] == [TaskState.CANCELED] * 2
+        trace = load_session_traces(pilot.trace_dir)
+        report = compute_utilization(trace, pd)
+        assert sum(report.breakdown_us.values()) == report.total_core_us
+        assert replay_check(trace) == []
+        assert main(["analyze", session.directory, "--out", str(tmp_path / "a")]) == 0
 
     def test_cancel_during_stage_in(self, local_pilot, tmp_path, monkeypatch, state_paths):
         """Session.close cancels a task whose stage-in is still copying on
@@ -357,7 +423,6 @@ class TestEvents:
         agent = LocalAgent(pd, hub, tracer,
                            sandbox_root=str(tmp_path / "sandbox"), on_end=ends)
         agent.start()
-        assert agent.ready.wait(5.0)
         submit(agent, task("n0", duration=0.01))
         assert ends.wait(1) == [("n0", "DONE")]
         agent.stop()
@@ -375,7 +440,6 @@ class TestDuplicateUid:
                            on_end=ends)
         agent.start()
         try:
-            assert agent.ready.wait(5.0)
             first = task("t0", duration=0.3)
             submit(agent, first)
             deadline = time.monotonic() + 10.0
@@ -417,7 +481,6 @@ class TestSchedulingPressure:
         sys.setswitchinterval(1e-5)
         try:
             agent.start()
-            assert agent.ready.wait(5.0)
             uids = [f"f{i:03d}" for i in range(300)]
             submit(agent, *(TaskDescription(uid=u, kind=TaskKind.FUNCTION,
                                             function="noop") for u in uids))

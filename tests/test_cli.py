@@ -95,6 +95,24 @@ class TestRun:
         assert f"{key} must be" in err[0], err
         assert not (tmp_path / "wd").exists()
 
+    @pytest.mark.parametrize("where, key, value", [
+        ("task", "uses_mpi", "false"), ("task", "arguments", "--duration 5"),
+        ("task", "cores_per_task", 1.9), ("task", "gpus_per_task", True),
+        ("task", "environment", {"K": "V"}), ("pilot", "oversubscribe", "no")])
+    def test_value_of_the_wrong_type_is_an_input_error(self, tmp_path, capsys,
+                                                       where, key, value):
+        cfg_path, cfg = workload_config(tmp_path, n_tasks=2)
+        {"task": cfg["tasks"][1], "pilot": cfg["pilot"]}[where][key] = value
+        cfg_path.write_text(json.dumps(cfg))
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", str(cfg_path), "--workdir", str(tmp_path / "wd")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(
+            f"pilotkit: error: {cfg_path}: TypeError: "), err
+        assert f"Description.{key}: expected " in err[0], err
+        assert not (tmp_path / "wd").exists()
+
     @pytest.mark.parametrize("where, key", [
         ("task", "cores"), ("task", "tag"), ("task", "expected_runtime_s"),
         ("pilot", "dvm_max_node"), ("pilot_profile", "gpus"),

@@ -142,9 +142,22 @@ class TestJsonForm:
         assert (pd.fabric, pd.nodes, pd.latency_model) == \
             (Fabric.SIMULATED, 2, LatencyModel(ack_mean_s=0.1))
 
+    @pytest.mark.parametrize("cls, key, value", [
+        (TaskDescription, "uses_mpi", "false"), (TaskDescription, "uses_mpi", 0),
+        (TaskDescription, "cores_per_task", 1.9), (TaskDescription, "cores_per_task", True),
+        (TaskDescription, "arguments", "--duration 5"),
+        (TaskDescription, "stage_in", "ab"), (TaskDescription, "stage_out", ["ab"]),
+        (TaskDescription, "environment", {"KV": "x"}),
+        (PilotDescription, "oversubscribe", "no"), (PilotDescription, "nodes", 1e400),
+        (PilotDescription, "dvm_max_nodes", False)])
+    def test_values_of_the_wrong_type_refused(self, cls, key, value):
+        uid = "t0" if cls is TaskDescription else "p"
+        with pytest.raises(TypeError, match=f"^{cls.__name__}.{key}: expected "):
+            cls.from_dict({"uid": uid, key: value})
+
     def test_bus_payload_and_manifest_snapshot_bytes(self, tmp_path):
         # Both literals were written by the per-field to_dict bodies this
-        # reader replaced; the local fabric's intake and analyze read them.
+        # reader replaced; task records in JSON files and analyze read them.
         td = TaskDescription(
             uid="t7", kind=TaskKind.EXECUTABLE, executable="/bin/echo", function="f",
             arguments=("a", "b c"), cores_per_task=3, gpus_per_task=2, uses_mpi=True,

@@ -1,6 +1,7 @@
 """DVM partitioning, launch-command derivation, and local spawn."""
 
 import math
+import subprocess
 import sys
 
 import pytest
@@ -92,20 +93,20 @@ class TestSpawnLocal:
         return base.__class__(program=sys.executable, args=tuple(args), env=base.env)
 
     def test_exit_code_zero(self, tmp_path):
-        assert spawn_local(self.cmd("-c", "pass"), "t0") == 0
+        assert spawn_local(self.cmd("-c", "pass"), "t0").wait() == 0
 
     def test_nonzero_exit_code(self):
-        assert spawn_local(self.cmd("-c", "raise SystemExit(3)"), "t0") == 3
+        assert spawn_local(self.cmd("-c", "raise SystemExit(3)"), "t0").wait() == 3
 
     def test_env_visible_to_child(self, tmp_path):
         out = tmp_path / "out.txt"
         code = f"import os; open({str(out)!r},'w').write(os.environ['PILOTKIT_TASK_ID'])"
-        spawn_local(self.cmd("-c", code), "t0")
+        spawn_local(self.cmd("-c", code), "t0").wait()
         assert out.read_text() == "t0"
 
     def test_stdout_captured(self, tmp_path):
         out = tmp_path / "task.out"
-        spawn_local(self.cmd("-c", "print('hello')"), "t0", stdout_path=str(out))
+        spawn_local(self.cmd("-c", "print('hello')"), "t0", stdout_path=str(out)).wait()
         assert out.read_text().strip() == "hello"
 
     def test_missing_program_raises(self):
@@ -122,9 +123,10 @@ class TestSpawnLocal:
         emu = self.cmd().__class__(program="pilotkit-emulate",
                                    args=("--duration", "0", "--exit-code", "3"),
                                    env=(("PATH", ""),))
-        assert spawn_local(emu, "t0") == 3
+        assert spawn_local(emu, "t0").wait() == 3
 
-    def test_register_receives_process_handle(self):
-        seen = []
-        spawn_local(self.cmd("-c", "pass"), "t0", register=seen.append)
-        assert len(seen) == 1 and seen[0].pid > 0
+    def test_returns_the_started_process(self):
+        proc = spawn_local(self.cmd("-c", "import time; time.sleep(30)"), "t0")
+        assert isinstance(proc, subprocess.Popen) and proc.poll() is None
+        proc.terminate()
+        assert proc.wait() != 0
